@@ -1,8 +1,10 @@
 """Hot numeric kernels: numba-jitted with a pure-numpy fallback.
 
-The backend is chosen at import time.  Set ``TRACEALIGN_NUMBA=0`` to
-force the numpy path (useful for debugging and for benchmarking the
-jit speedup); anything else uses numba when it is importable.
+All-pairs scoring (``nw_scores``) is one batched numpy kernel on every
+backend.  For the other kernels the backend is chosen at import time.
+Set ``TRACEALIGN_NUMBA=0`` to force the numpy path (useful for debugging
+and for benchmarking the jit speedup); anything else uses numba when it
+is importable.
 
 Both backends compute bit-identical tables: fill-order tie-breaking is
 done with the same comparisons on the same float64 values, so traceback
@@ -104,48 +106,76 @@ def _nw_fill_loops(a, b, match, mismatch, gap):
     return h, ptr
 
 
-def _nw_scores_loops(padded, lengths, match, mismatch, gap):
-    """All-pairs best alignment scores; rolling two-row DP, no traceback."""
+# Cell budget of one block of the all-pairs sweep, counted as
+# pairs x (A + B + 1) for the block's longest sides A and B.  It bounds
+# both the rolling diagonals and the gathered codes, so a block's
+# temporaries stay well under a megabyte.
+_BLOCK_CELLS = 1 << 14
+
+
+def nw_scores(padded, lengths, match, mismatch, gap):
+    """All-pairs best global alignment scores, (N, N) and symmetric.
+
+    Every pair (i < j) runs the recurrence of ``nw_fill`` with trace i
+    as the first side, but many pairs share one numpy sweep over the
+    anti-diagonals: pairs are sorted by (la, lb), cut into blocks under
+    ``_BLOCK_CELLS`` and each block keeps three rolling ``(pairs, A+1)``
+    diagonals with ``H_d[:, i] = h[i, d - i]``.  Each cell does the same
+    float64 operations in the same order as ``nw_fill``, so scores are
+    bit-identical.  Cells past a pair's own (la, lb) read -1 padding, but
+    they never feed that pair's cells, which only look up and left.
+    """
     n = lengths.size
-    width = padded.shape[1]
     out = np.zeros((n, n), dtype=np.float64)
-    prev = np.empty(width + 1, dtype=np.float64)
-    cur = np.empty(width + 1, dtype=np.float64)
-    for i in range(n):
-        la = lengths[i]
-        for j in range(i + 1, n):
-            lb = lengths[j]
-            for col in range(lb + 1):
-                prev[col] = gap * col
-            for row in range(1, la + 1):
-                cur[0] = gap * row
-                ai = padded[i, row - 1]
-                for col in range(1, lb + 1):
-                    sub = match if ai == padded[j, col - 1] else mismatch
-                    best = prev[col - 1] + sub
-                    up = prev[col] + gap
-                    if up > best:
-                        best = up
-                    left = cur[col - 1] + gap
-                    if left > best:
-                        best = left
-                    cur[col] = best
-                prev, cur = cur, prev
-            out[i, j] = prev[lb]
-            out[j, i] = prev[lb]
+    first, second = np.triu_indices(n, 1)
+    order = np.lexsort((lengths[second], lengths[first]))
+    first, second = first[order], second[order]
+    la_all, lb_all = lengths[first], lengths[second]
+    start = 0
+    while start < first.size:
+        window = slice(start, start + _BLOCK_CELLS)
+        cost = np.arange(1, la_all[window].size + 1) * (
+            la_all[window] + np.maximum.accumulate(lb_all[window]) + 1
+        )
+        stop = start + max(1, int(np.count_nonzero(cost <= _BLOCK_CELLS)))
+        block = slice(start, stop)
+        scores = _nw_block(
+            padded, first[block], second[block], la_all[block], lb_all[block], match, mismatch, gap
+        )
+        out[first[block], second[block]] = scores
+        out[second[block], first[block]] = scores
+        start = stop
     return out
 
 
-def _nw_scores_py(padded, lengths, match, mismatch, gap):
-    n = lengths.size
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        a = padded[i, : lengths[i]]
-        for j in range(i + 1, n):
-            b = padded[j, : lengths[j]]
-            h, _ = _nw_fill_py(a, b, match, mismatch, gap)
-            out[i, j] = out[j, i] = h[-1, -1]
-    return out
+def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
+    """Best scores of the pairs (padded[first[p]], padded[second[p]]), one sweep."""
+    A, B = int(la.max()), int(lb.max())
+    a = padded[first, :A]
+    b_rev = padded[second, :B][:, ::-1]
+    total = la + lb
+    by_total = np.argsort(total, kind="stable")
+    bounds = np.searchsorted(total[by_total], np.arange(A + B + 2))
+    scores = np.empty(la.size, dtype=np.float64)
+    prev2, prev1, cur = (np.empty((la.size, A + 1), dtype=np.float64) for _ in range(3))
+    for d in range(A + B + 1):
+        prev2, prev1, cur = prev1, cur, prev2
+        if d <= B:
+            cur[:, 0] = gap * d
+        if d <= A:
+            cur[:, d] = gap * d
+        lo, hi = max(1, d - B), min(A, d - 1)
+        if lo <= hi:
+            # b_rev[:, B - d + i] is b[:, d - i - 1], the code facing a[:, i - 1].
+            facing = b_rev[:, B - d + lo : B - d + hi + 1]
+            sub = np.where(a[:, lo - 1 : hi] == facing, match, mismatch)
+            diag = prev2[:, lo - 1 : hi] + sub
+            up = prev1[:, lo - 1 : hi] + gap
+            left = prev1[:, lo : hi + 1] + gap
+            np.maximum(diag, np.maximum(up, left), out=cur[:, lo : hi + 1])
+        done = by_total[bounds[d] : bounds[d + 1]]
+        scores[done] = cur[done, la[done]]
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +349,8 @@ def entropy_per_column(counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         freq = counts / totals
-        terms = np.where(counts > 0, -freq * np.log2(freq, where=counts > 0), 0.0)
+        logs = np.log2(freq, out=np.zeros_like(freq), where=counts > 0)
+        terms = np.where(counts > 0, -freq * logs, 0.0)
     return terms.sum(axis=1)
 
 
@@ -328,22 +359,18 @@ def entropy_per_column(counts: np.ndarray) -> np.ndarray:
 
 if _HAVE_NUMBA:
     _nw_fill_jit = njit(cache=True)(_nw_fill_loops)
-    _nw_scores_jit = njit(cache=True)(_nw_scores_loops)
     _profile_fill_jit = njit(cache=True)(_profile_fill_loops)
     _ms_pattern_jit = njit(cache=True)(_ms_pattern_loops)
 
     nw_fill = _nw_fill_jit
-    nw_scores = _nw_scores_jit
     profile_fill = _profile_fill_jit
     ms_pattern = _ms_pattern_jit
 else:
     _nw_fill_jit = None
-    _nw_scores_jit = None
     _profile_fill_jit = None
     _ms_pattern_jit = None
 
     nw_fill = _nw_fill_py
-    nw_scores = _nw_scores_py
     profile_fill = _profile_fill_py
     ms_pattern = _ms_pattern_loops
 

@@ -208,7 +208,15 @@ class ProcessModelSpec:
             raise ModelSpecError("not a tracealign model document")
         if data.get("version") != 1:
             raise ModelSpecError(f"unsupported model version {data.get('version')!r}")
-        return cls(str(data.get("name", "model")), _block_from_dict(data["model"]))
+        root = _block_from_dict(_field(data, "model", "model document"))
+        return cls(str(data.get("name", "model")), root)
+
+
+def _field(data: dict, key: str, where: str):
+    try:
+        return data[key]
+    except KeyError:
+        raise ModelSpecError(f"{where} without {key!r}") from None
 
 
 def _block_to_dict(block: Block) -> dict:
@@ -238,19 +246,23 @@ def _block_from_dict(data: dict) -> Block:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ModelSpecError(f"block without a kind: {data!r}") from None
+    where = f"{kind} block"
     if kind == "activity":
-        return ActivityBlock(str(data["label"]))
+        return ActivityBlock(str(_field(data, "label", where)))
     if kind == "sequence":
-        return SequenceBlock(tuple(_block_from_dict(c) for c in data["children"]))
+        return SequenceBlock(tuple(_block_from_dict(c) for c in _field(data, "children", where)))
     if kind == "choice":
         return ChoiceBlock(
-            tuple(_block_from_dict(c) for c in data["children"]),
-            tuple(float(p) for p in data["probabilities"]),
+            tuple(_block_from_dict(c) for c in _field(data, "children", where)),
+            tuple(float(p) for p in _field(data, "probabilities", where)),
         )
     if kind == "parallel":
-        return ParallelBlock(tuple(_block_from_dict(c) for c in data["children"]))
+        return ParallelBlock(tuple(_block_from_dict(c) for c in _field(data, "children", where)))
     if kind == "loop":
-        return LoopBlock(_block_from_dict(data["child"]), float(data["continue_probability"]))
+        return LoopBlock(
+            _block_from_dict(_field(data, "child", where)),
+            float(_field(data, "continue_probability", where)),
+        )
     raise ModelSpecError(f"unknown block kind {kind!r}")
 
 

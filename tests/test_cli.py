@@ -112,6 +112,24 @@ class TestGenLog:
         assert code == 1
         assert "wat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "document, missing",
+        [
+            ({"format": "tracealign-model", "version": 1}, "'model'"),
+            ({"format": "tracealign-model", "version": 1, "model": {"kind": "sequence"}},
+             "'children'"),
+        ],
+    )
+    def test_missing_key_is_single_line(self, tmp_path, capsys, document, missing):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        code = main(["gen-log", str(bad), "-n", "3", "-o", str(tmp_path / "x.log")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("tracealign: error:")
+        assert captured.err.count("\n") == 1
+        assert missing in captured.err
+
 
 class TestCorrelate:
     def test_emits_table_and_report(self, log_path, tmp_path, capsys):

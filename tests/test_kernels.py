@@ -1,7 +1,14 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
 from tracealign import _kernels
+
+from oracles import brute_force_best_score
+
+SCHEMES = [(1.0, -1.0, 0.0), (2.0, -0.5, -0.25), (1.0, -1.0, -1.0)]
 
 
 @pytest.fixture
@@ -36,15 +43,6 @@ class TestBackendsAgree:
             assert np.array_equal(h1, h2)
             assert np.array_equal(p1, p2)
 
-    def test_nw_scores(self, rng):
-        lengths = rng.integers(1, 9, size=6).astype(np.int64)
-        padded = np.full((6, 8), -1, dtype=np.int64)
-        for i, n in enumerate(lengths):
-            padded[i, :n] = rng.integers(0, 3, size=n)
-        s1 = _kernels.nw_scores(padded, lengths, 1.0, -1.0, 0.0)
-        s2 = _kernels._nw_scores_py(padded, lengths, 1.0, -1.0, 0.0)
-        assert np.array_equal(s1, s2)
-
     def test_profile_fill(self, rng):
         for _ in range(20):
             la = int(rng.integers(1, 8))
@@ -65,6 +63,46 @@ class TestBackendsAgree:
         in_pattern = np.array([True, True, False])
         args = (starts, n_starts, col_of, codes, 2, in_pattern)
         assert _kernels.ms_pattern(*args) == _kernels._ms_pattern_loops(*args)
+
+
+def pad(sequences):
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    padded = np.full((len(sequences), max(lengths, default=0)), -1, dtype=np.int64)
+    for row, seq in zip(padded, sequences):
+        row[: len(seq)] = seq
+    return padded, lengths
+
+
+class TestNwScores:
+    """The batched all-pairs kernel against independent per-pair references."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES[:2])
+    def test_matches_brute_force_on_every_small_pair(self, scheme):
+        sequences = [seq for n in range(5) for seq in itertools.product(range(3), repeat=n)]
+        scores = _kernels.nw_scores(*pad(sequences), *scheme)
+        for i, j in itertools.combinations(range(len(sequences)), 2):
+            assert scores[i, j] == brute_force_best_score(sequences[i], sequences[j], *scheme)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_pairwise_fill_across_blocks(self, rng, monkeypatch, scheme):
+        # A small budget splits the pairs into many blocks of unequal shapes.
+        monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 200)
+        sequences = [rng.integers(0, 4, size=int(n)) for n in rng.integers(0, 31, size=40)]
+        sequences += [np.zeros(0, dtype=np.int64), rng.integers(0, 4, size=30)]
+        scores = _kernels.nw_scores(*pad(sequences), *scheme)
+        for i, j in itertools.combinations(range(len(sequences)), 2):
+            h, _ = _kernels.nw_fill(sequences[i], sequences[j], *scheme)
+            assert scores[i, j] == h[-1, -1]
+
+    def test_symmetric_with_zero_diagonal(self, rng):
+        sequences = [rng.integers(0, 3, size=int(n)) for n in rng.integers(0, 12, size=15)]
+        scores = _kernels.nw_scores(*pad(sequences), 1.0, -1.0, -1.0)
+        assert np.array_equal(scores, scores.T)
+        assert not np.diagonal(scores).any()
+
+    def test_fewer_than_two_sequences(self):
+        assert _kernels.nw_scores(*pad([]), 1.0, -1.0, 0.0).shape == (0, 0)
+        assert np.array_equal(_kernels.nw_scores(*pad([[0, 1]]), 1.0, -1.0, 0.0), [[0.0]])
 
 
 class TestColumnCounts:
@@ -89,6 +127,13 @@ class TestColumnCounts:
         assert e[0] == 0.0
         assert e[1] == pytest.approx(1.0)
         assert e[2] == pytest.approx(1.5)
+
+    def test_entropy_with_empty_cells_does_not_warn(self):
+        counts = np.array([[4, 0, 0], [0, 2, 2], [0, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = _kernels.entropy_per_column(counts)
+        assert e.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_backend_name_is_exposed():
