@@ -1,14 +1,15 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels: batched numpy, plus a numba-jitted pairwise DP.
 
-All-pairs scoring (``nw_scores``) is one batched numpy kernel on every
-backend.  For the other kernels the backend is chosen at import time.
-Set ``TRACEALIGN_NUMBA=0`` to force the numpy path (useful for debugging
-and for benchmarking the jit speedup); anything else uses numba when it
-is importable.
+All-pairs scoring (``nw_scores``), the profile DP (``profile_fill``) and
+misalignment scoring (``ms_pattern``) are numpy kernels on every
+backend.  For the pairwise DP (``nw_fill``) the backend is chosen at
+import time.  Set ``TRACEALIGN_NUMBA=0`` to force the numpy path (useful
+for debugging and for benchmarking the jit speedup); anything else uses
+numba when it is importable.
 
-Both backends compute bit-identical tables: fill-order tie-breaking is
-done with the same comparisons on the same float64 values, so traceback
-pointers agree exactly.
+Both ``nw_fill`` backends compute bit-identical tables: fill-order
+tie-breaking is done with the same comparisons on the same float64
+values, so traceback pointers agree exactly.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def _nw_fill_loops(a, b, match, mismatch, gap):
 # Cell budget of one block of the all-pairs sweep, counted as
 # pairs x (A + B + 1) for the block's longest sides A and B.  It bounds
 # both the rolling diagonals and the gathered codes, so a block's
-# temporaries stay well under a megabyte.
+# temporaries stay well under a megabyte.  ``ms_pattern`` cuts its rows
+# under the same budget, counted as rows x slots x pattern length x N.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -184,62 +186,45 @@ def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
 # agnostic (identical recurrence to the pairwise DP).
 
 
-def _profile_fill_py(s, ga, gb):
+def profile_fill(s, ga, gb):
+    """Traceback pointers of the profile DP, sweeping anti-diagonals.
+
+    Only the pointer table is kept: the scores live on three rolling
+    anti-diagonals with ``H_d[i] = h[i, d - i]``, so memory is linear in
+    the profile lengths.  Each cell does the same float64 operations in
+    the same order as a full-table fill, so the pointers are identical.
+    """
     la, lb = s.shape
-    h = np.empty((la + 1, lb + 1), dtype=np.float64)
     ptr = np.empty((la + 1, lb + 1), dtype=np.uint8)
-    h[0, 0] = 0.0
-    h[0, 1:] = np.cumsum(gb)
-    h[1:, 0] = np.cumsum(ga)
     ptr[0, :] = LEFT
     ptr[:, 0] = UP
     ptr[0, 0] = DIAG
-    for d in range(2, la + lb + 1):
-        lo = max(1, d - lb)
-        hi = min(la, d - 1)
+    flat = ptr.reshape(-1)
+    cga, cgb = np.cumsum(ga), np.cumsum(gb)
+    s_flip = s[:, ::-1]
+    gb_rev = gb[::-1]
+    prev2, prev1, cur = (np.empty(la + 1, dtype=np.float64) for _ in range(3))
+    cur[0] = 0.0
+    for d in range(1, la + lb + 1):
+        prev2, prev1, cur = prev1, cur, prev2
+        if d <= lb:
+            cur[0] = cgb[d - 1]
+        if d <= la:
+            cur[d] = cga[d - 1]
+        lo, hi = max(1, d - lb), min(la, d - 1)
         if lo > hi:
             continue
-        i = np.arange(lo, hi + 1)
-        j = d - i
-        diag = h[i - 1, j - 1] + s[i - 1, j - 1]
-        up = h[i - 1, j] + ga[i - 1]
-        left = h[i, j - 1] + gb[j - 1]
-        best = np.maximum(diag, np.maximum(up, left))
-        h[i, j] = best
-        ptr[i, j] = np.where(diag == best, DIAG, np.where(up == best, UP, LEFT))
-    return h, ptr
-
-
-def _profile_fill_loops(s, ga, gb):
-    la, lb = s.shape
-    h = np.empty((la + 1, lb + 1), dtype=np.float64)
-    ptr = np.empty((la + 1, lb + 1), dtype=np.uint8)
-    h[0, 0] = 0.0
-    ptr[0, 0] = DIAG
-    acc = 0.0
-    for j in range(1, lb + 1):
-        acc += gb[j - 1]
-        h[0, j] = acc
-        ptr[0, j] = LEFT
-    acc = 0.0
-    for i in range(1, la + 1):
-        acc += ga[i - 1]
-        h[i, 0] = acc
-        ptr[i, 0] = UP
-        for j in range(1, lb + 1):
-            best = h[i - 1, j - 1] + s[i - 1, j - 1]
-            p = DIAG
-            up = h[i - 1, j] + ga[i - 1]
-            if up > best:
-                best = up
-                p = UP
-            left = h[i, j - 1] + gb[j - 1]
-            if left > best:
-                best = left
-                p = LEFT
-            h[i, j] = best
-            ptr[i, j] = p
-    return h, ptr
+        # The diagonal of s_flip at offset lb - d + 1 starts at row lo - 1
+        # and holds s[i - 1, d - i - 1] for i = lo..hi.
+        diag = prev2[lo - 1 : hi] + np.diagonal(s_flip, lb - d + 1)
+        up = prev1[lo - 1 : hi] + ga[lo - 1 : hi]
+        left = prev1[lo : hi + 1] + gb_rev[lb - d + lo : lb - d + hi + 1]
+        best = np.maximum(diag, np.maximum(up, left), out=cur[lo : hi + 1])
+        # Cell (i, d - i) sits at flat offset i * lb + d.
+        flat[lo * lb + d : hi * lb + d + 1 : lb] = np.where(
+            diag == best, DIAG, np.where(up == best, UP, LEFT)
+        )
+    return ptr
 
 
 def traceback(ptr):
@@ -277,46 +262,49 @@ def traceback(ptr):
 # Misalignment scoring for one pattern.
 
 
-def _ms_pattern_loops(starts, n_starts, col_of, codes_grid, pat_len, in_pattern):
+def ms_pattern(starts, n_starts, col_of, codes_grid, pat_len, in_pattern):
     """Sum of pairwise misalignment contributions for one pattern.
 
-    starts:     (N, S) instance start ordinals per trace, -1 padded
+    starts:     (N, S) instance start ordinals per trace; slots past a
+                trace's count hold any in-range ordinal and are ignored
     n_starts:   (N,)   instance counts
     col_of:     (N, W) ordinal -> column map
     codes_grid: (N, L) activity codes with -1 gaps
     in_pattern: (K,)   membership mask over the alphabet
+
+    Instance t of trace i is bad against trace j when one of its columns
+    holds a gap or an activity outside the pattern in row j.  A matched
+    pair (i, j, t), t < min(c_i, c_j), adds the column distance of the
+    two starts plus bad[i, t, j] | bad[j, t, i]; each pair also adds
+    |c_i - c_j| for its unmatched instances.  Every term is an integer,
+    so the sum runs in int64.  The diagonal adds 0, so the sum over
+    i < j is half the sum over all ordered pairs.  Rows are processed in
+    blocks under ``_BLOCK_CELLS``.
     """
-    n = n_starts.size
-    total = 0.0
-    for i in range(n):
-        ci = n_starts[i]
-        for j in range(i + 1, n):
-            cj = n_starts[j]
-            k = ci if ci < cj else cj
-            for t in range(k):
-                si = starts[i, t]
-                sj = starts[j, t]
-                d = col_of[i, si] - col_of[j, sj]
-                if d < 0:
-                    d = -d
-                delta = 0
-                for u in range(pat_len):
-                    facing = codes_grid[j, col_of[i, si + u]]
-                    if facing < 0 or not in_pattern[facing]:
-                        delta = 1
-                        break
-                if delta == 0:
-                    for u in range(pat_len):
-                        facing = codes_grid[i, col_of[j, sj + u]]
-                        if facing < 0 or not in_pattern[facing]:
-                            delta = 1
-                            break
-                total += d + delta
-            unmatched = ci - cj
-            if unmatched < 0:
-                unmatched = -unmatched
-            total += unmatched
-    return total
+    n, width = starts.shape
+    valid = np.arange(width)[None, :] < n_starts[:, None]
+    # (N, S, m) columns of every instance slot; padded slots read
+    # arbitrary columns and are masked out below.
+    cols = col_of[np.arange(n)[:, None, None], starts[:, :, None] + np.arange(pat_len)]
+    # fits[c, j]: column c of row j holds a pattern activity.  Index -1
+    # (a gap) reads the appended False.
+    fits = np.ascontiguousarray(np.append(in_pattern, False)[codes_grid].T)
+    rows = max(1, _BLOCK_CELLS // (width * pat_len * n))
+    bad = np.empty((n, width, n), dtype=np.bool_)
+    for lo in range(0, n, rows):
+        bad[lo : lo + rows] = ~fits[cols[lo : lo + rows]].all(axis=2)
+
+    first = cols[:, :, 0]
+    both = valid.T[None, :, :]
+    ordered = 0
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        matched = valid[block, :, None] & both
+        distance = np.abs(first[block, :, None] - first.T[None, :, :])
+        either = bad[block] | bad[:, :, block].transpose(2, 1, 0)
+        ordered += int(distance[matched].sum()) + int(np.count_nonzero(either & matched))
+    unmatched = int(np.abs(n_starts[:, None] - n_starts[None, :]).sum())
+    return float((ordered + unmatched) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +347,10 @@ def entropy_per_column(counts: np.ndarray) -> np.ndarray:
 
 if _HAVE_NUMBA:
     _nw_fill_jit = njit(cache=True)(_nw_fill_loops)
-    _profile_fill_jit = njit(cache=True)(_profile_fill_loops)
-    _ms_pattern_jit = njit(cache=True)(_ms_pattern_loops)
-
     nw_fill = _nw_fill_jit
-    profile_fill = _profile_fill_jit
-    ms_pattern = _ms_pattern_jit
 else:
     _nw_fill_jit = None
-    _profile_fill_jit = None
-    _ms_pattern_jit = None
-
     nw_fill = _nw_fill_py
-    profile_fill = _profile_fill_py
-    ms_pattern = _ms_pattern_loops
 
 
 def warmup() -> None:
@@ -382,13 +360,3 @@ def warmup() -> None:
     nw_fill(a, b, 1.0, -1.0, 0.0)
     padded = np.stack([a, b])
     nw_scores(padded, np.array([2, 2], dtype=np.int64), 1.0, -1.0, 0.0)
-    s = np.zeros((2, 2), dtype=np.float64)
-    profile_fill(s, np.zeros(2), np.zeros(2))
-    ms_pattern(
-        np.zeros((2, 1), dtype=np.int64),
-        np.zeros(2, dtype=np.int64),
-        np.zeros((2, 2), dtype=np.int64),
-        padded,
-        1,
-        np.ones(3, dtype=np.bool_),
-    )

@@ -228,10 +228,18 @@ def _column_pair_scores(p1: Profile, p2: Profile, scheme: ScoringScheme):
     b = f2[:, 1:]
     occ1 = a.sum(axis=1)
     occ2 = b.sum(axis=1)
+    # match * same + mismatch * (cross - same) + gap * gap_faces, built
+    # in place: the same float64 operations, three (L1, L2) buffers.
     same = a @ b.T
-    cross = np.outer(occ1, occ2)
-    gap_faces = np.outer(f1[:, 0], occ2) + np.outer(occ1, f2[:, 0])
-    s = scheme.match * same + scheme.mismatch * (cross - same) + scheme.gap * gap_faces
+    s = np.outer(occ1, occ2)
+    s -= same
+    s *= scheme.mismatch
+    same *= scheme.match
+    s += same
+    gap_faces = np.outer(f1[:, 0], occ2, out=same)
+    gap_faces += np.outer(occ1, f2[:, 0])
+    gap_faces *= scheme.gap
+    s += gap_faces
     return s, scheme.gap * occ1, scheme.gap * occ2
 
 
@@ -250,7 +258,7 @@ def align_profiles(p1: Profile, p2: Profile, scheme: ScoringScheme = DEFAULT_SCH
     if overlap:
         raise ValueError(f"profiles share members {sorted(overlap)}")
     s, ga, gb = _column_pair_scores(p1, p2, scheme)
-    _, ptr = _kernels.profile_fill(s, ga, gb)
+    ptr = _kernels.profile_fill(s, ga, gb)
     take1, take2 = _kernels.traceback(ptr)
 
     def spread(grid: np.ndarray, take: np.ndarray) -> np.ndarray:

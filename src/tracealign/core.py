@@ -275,6 +275,11 @@ class Alignment:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def violations(self) -> tuple["Violation", ...]:
+        """:func:`validate_alignment`'s report, computed once per alignment."""
+        return tuple(validate_alignment(self))
+
     def column_occurrences(self, j: int) -> list[OccurrenceId]:
         """Occurrences in column ``j``, top to bottom."""
         col = self.grid[:, j]
@@ -373,10 +378,8 @@ def validate_alignment(alignment: Alignment) -> ValidationReport:
 
 def require_valid(alignment: Alignment) -> None:
     """Raise :class:`InvalidAlignmentError` naming the first violation."""
-    report = validate_alignment(alignment)
-    if report:
-        first = report[0]
-        raise InvalidAlignmentError(f"invalid alignment: {first.message}")
+    if alignment.violations:
+        raise InvalidAlignmentError(f"invalid alignment: {alignment.violations[0].message}")
 
 
 def strip_gaps(alignment: Alignment) -> EventLog:

@@ -204,6 +204,8 @@ class ProcessModelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessModelSpec":
+        if not isinstance(data, dict):
+            raise ModelSpecError(f"model document must be an object, got {type(data).__name__}")
         if data.get("format") != "tracealign-model":
             raise ModelSpecError("not a tracealign model document")
         if data.get("version") != 1:
@@ -217,6 +219,13 @@ def _field(data: dict, key: str, where: str):
         return data[key]
     except KeyError:
         raise ModelSpecError(f"{where} without {key!r}") from None
+
+
+def _list_field(data: dict, key: str, where: str) -> list:
+    value = _field(data, key, where)
+    if not isinstance(value, list):
+        raise ModelSpecError(f"{where} {key!r} must be a list, got {type(value).__name__}")
+    return value
 
 
 def _block_to_dict(block: Block) -> dict:
@@ -241,27 +250,40 @@ def _block_to_dict(block: Block) -> dict:
     raise ModelSpecError(f"unknown block {block!r}")
 
 
+def _number(value: object, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ModelSpecError(f"{where} needs a number, got {value!r}") from None
+
+
+def _children(data: dict, where: str) -> tuple[Block, ...]:
+    return tuple(_block_from_dict(c) for c in _list_field(data, "children", where))
+
+
 def _block_from_dict(data: dict) -> Block:
+    if not isinstance(data, dict):
+        raise ModelSpecError(f"block must be an object, got {data!r}")
     try:
         kind = data["kind"]
-    except (TypeError, KeyError):
+    except KeyError:
         raise ModelSpecError(f"block without a kind: {data!r}") from None
     where = f"{kind} block"
     if kind == "activity":
         return ActivityBlock(str(_field(data, "label", where)))
     if kind == "sequence":
-        return SequenceBlock(tuple(_block_from_dict(c) for c in _field(data, "children", where)))
+        return SequenceBlock(_children(data, where))
     if kind == "choice":
         return ChoiceBlock(
-            tuple(_block_from_dict(c) for c in _field(data, "children", where)),
-            tuple(float(p) for p in _field(data, "probabilities", where)),
+            _children(data, where),
+            tuple(_number(p, where) for p in _list_field(data, "probabilities", where)),
         )
     if kind == "parallel":
-        return ParallelBlock(tuple(_block_from_dict(c) for c in _field(data, "children", where)))
+        return ParallelBlock(_children(data, where))
     if kind == "loop":
         return LoopBlock(
             _block_from_dict(_field(data, "child", where)),
-            float(_field(data, "continue_probability", where)),
+            _number(_field(data, "continue_probability", where), where),
         )
     raise ModelSpecError(f"unknown block kind {kind!r}")
 

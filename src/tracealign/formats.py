@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 from typing import IO
 
-from .core import GAP, Alignment, EventLog, Trace, TraceAlignError, validate_alignment
+from .core import GAP, Alignment, EventLog, Trace, TraceAlignError
 from .experiments import CorrelationReport, ProcessModelSpec
 from .metrics import METRIC_ORDER, MetricReport
 
@@ -159,9 +159,8 @@ def read_alignment(path: str | Path) -> Alignment:
         alignment = Alignment.from_label_rows(log, rows)
     except ValueError as exc:
         raise FileFormatError(path, 1, 1, str(exc)) from None
-    violations = validate_alignment(alignment)
-    if violations:
-        raise FileFormatError(path, 1, 1, f"invalid alignment: {violations[0].message}")
+    if alignment.violations:
+        raise FileFormatError(path, 1, 1, f"invalid alignment: {alignment.violations[0].message}")
     return alignment
 
 

@@ -26,7 +26,6 @@ from .core import (
     SourceMismatchError,
     SymbolCount,
     ThresholdTooHighError,
-    column_histogram,
     require_valid,
 )
 
@@ -253,15 +252,6 @@ def column_score(a: Alignment, ref: Alignment) -> float:
     return correct / len(mine)
 
 
-def _instance_starts(trace_codes: np.ndarray, pattern_codes: np.ndarray) -> np.ndarray:
-    """Start ordinals of (possibly overlapping) pattern occurrences."""
-    m = pattern_codes.size
-    if trace_codes.size < m:
-        return np.empty(0, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(trace_codes, m)
-    return np.nonzero((windows == pattern_codes).all(axis=1))[0].astype(np.int64)
-
-
 def misalignment_score(alignment: Alignment, pattern: Sequence[str]) -> float:
     """Summed pairwise misalignment of a pattern's instances.
 
@@ -279,14 +269,23 @@ def misalignment_score(alignment: Alignment, pattern: Sequence[str]) -> float:
         return 0.0
     pattern_codes = np.array([code_of[s] for s in pattern], dtype=np.int64)
 
-    starts = [_instance_starts(codes, pattern_codes) for codes in log.trace_codes]
-    n_starts = np.array([s.size for s in starts], dtype=np.int64)
+    # Instance starts of every trace from one sliding-window comparison;
+    # the -1 padding never matches a pattern code.
+    m = pattern_codes.size
+    padded = log.padded_codes
+    span = padded.shape[1] - m + 1
+    if span <= 0:
+        return 0.0
+    hits = padded[:, :span] == pattern_codes[0]
+    for u in range(1, m):
+        hits &= padded[:, u : u + span] == pattern_codes[u]
+    n_starts = np.count_nonzero(hits, axis=1)
     if n_starts.sum() == 0:
         return 0.0
-    width = max(1, int(n_starts.max()))
-    starts_padded = np.zeros((len(log), width), dtype=np.int64)
-    for i, s in enumerate(starts):
-        starts_padded[i, : s.size] = s
+    rows, starts = np.nonzero(hits)
+    slot = np.arange(rows.size) - (np.cumsum(n_starts) - n_starts)[rows]
+    starts_padded = np.zeros((len(log), int(n_starts.max())), dtype=np.int64)
+    starts_padded[rows, slot] = starts
 
     in_pattern = np.zeros(len(log.alphabet), dtype=np.bool_)
     in_pattern[pattern_codes] = True
@@ -296,7 +295,7 @@ def misalignment_score(alignment: Alignment, pattern: Sequence[str]) -> float:
             n_starts,
             alignment.column_of,
             alignment.codes,
-            len(pattern),
+            m,
             in_pattern,
         )
     )
@@ -333,12 +332,8 @@ def most_frequent_pattern(census: PatternCensus) -> Pattern:
     """Highest-count pattern; ties go to the shortest, then lexicographic."""
     if not census:
         raise ValueError("pattern census is empty")
-    best: tuple[int, int, Pattern] | None = None
-    for pattern, n in census.items():
-        key = (-n, len(pattern), pattern)
-        if best is None or key < best:
-            best = key
-    return best[2]
+    top = [census._decode(key) for key, n in census._counts.items() if n == census.f_max]
+    return min(top, key=lambda pattern: (len(pattern), pattern))
 
 
 def information_score(histogram: Mapping[str, SymbolCount], n_types: int) -> float:
@@ -361,21 +356,14 @@ def information_score(histogram: Mapping[str, SymbolCount], n_types: int) -> flo
 def overall_information_score(alignment: Alignment) -> float:
     """Length-normalized cumulative column entropy, as a score in [0, 1].
 
-    Algebraically the mean of the per-column information scores; both
-    evaluations are computed and must agree to 1e-12.
+    Algebraically the mean of the per-column information scores.
     """
     require_valid(alignment)
     n_types = len(alignment.source.alphabet)
     counts = _kernels.column_counts(alignment.codes, n_types)
     entropies = _kernels.entropy_per_column(counts)
     e_max = np.log2(n_types + 1)
-    ois = 1.0 - entropies.sum() / (e_max * alignment.length)
-    per_column = [
-        information_score(column_histogram(alignment, j), n_types)
-        for j in range(alignment.length)
-    ]
-    assert abs(ois - float(np.mean(per_column))) < 1e-12
-    return float(ois)
+    return float(1.0 - entropies.sum() / (e_max * alignment.length))
 
 
 class ComplexityResult(NamedTuple):
@@ -420,23 +408,19 @@ def consensus_sequence(alignment: Alignment, majority: float = 0.5) -> list[Cons
     require_valid(alignment)
     if not 0.0 < majority <= 1.0:
         raise ValueError(f"majority must be in (0, 1], got {majority}")
-    n_rows = alignment.n_rows
-    out: list[ConsensusEntry] = []
-    for j in range(alignment.length):
-        histogram = column_histogram(alignment, j)
-        best_count = 0
-        winners: list[str] = []
-        for symbol, sc in histogram.items():
-            if symbol == GAP:
-                continue
-            if sc.count > best_count:
-                best_count = sc.count
-                winners = [symbol]
-            elif sc.count == best_count:
-                winners.append(symbol)
-        if best_count / n_rows > majority:
-            out.append(ConsensusEntry(j, min(winners), len(winners) > 1))
-    return out
+    if alignment.length == 0:
+        return []
+    alphabet = alignment.source.alphabet
+    occupied = _kernels.column_counts(alignment.codes, len(alphabet))[:, 1:]
+    best = occupied.max(axis=1)
+    # argmax takes the lowest tied code, and the alphabet is sorted, so
+    # it picks the lexicographically smallest label.
+    winner = occupied.argmax(axis=1)
+    ties = np.count_nonzero(occupied == best[:, None], axis=1) > 1
+    return [
+        ConsensusEntry(int(j), alphabet[winner[j]], bool(ties[j]))
+        for j in np.nonzero(best / alignment.n_rows > majority)[0]
+    ]
 
 
 def count_heuristic_errors(a: Alignment, ref: Alignment) -> int:

@@ -6,7 +6,9 @@ explicitly, once per (la, lb), and keeps each path as a 0/1 row over
 the grid's cells plus its gap-column count; a pair's best score is then
 the maximum over all paths, scored together with one matrix product.
 The three-trace oracle is a direct 7-transition dynamic program over
-all column compositions.
+all column compositions.  The misalignment oracle walks every trace pair
+in plain Python, straight from the ``misalignment_score`` docstring, and
+the profile-fill oracle is a frozen full-table copy of the profile DP.
 """
 
 from functools import lru_cache
@@ -122,3 +124,70 @@ def three_way_optimum(c1, c2, c3, match=1.0, mismatch=-1.0, gap=0.0):
                         best = score
                 h[i, j, k] = best
     return float(h[l1, l2, l3])
+
+
+def misalignment_oracle(alignment, pattern):
+    """Summed pairwise misalignment of ``pattern``, one trace pair at a time.
+
+    For each trace pair, instances are matched in start order; a matched
+    pair adds the column distance of the instance starts, plus 1 when
+    either instance faces a gap or an activity outside the pattern in
+    the other row.  Each unmatched instance adds 1.
+    """
+    pattern = tuple(pattern)
+    m = len(pattern)
+    rows = []
+    for trace, grid_row in zip(alignment.source.traces, alignment.grid.tolist()):
+        labels = list(trace.activities)
+        cells = [None if k < 0 else labels[k] for k in grid_row]
+        column = [j for j, k in enumerate(grid_row) if k >= 0]
+        instances = [
+            column[s : s + m]
+            for s in range(len(labels) - m + 1)
+            if tuple(labels[s : s + m]) == pattern
+        ]
+        rows.append((cells, instances))
+    total = 0
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            cells_i, inst_i = rows[i]
+            cells_j, inst_j = rows[j]
+            for cols_i, cols_j in zip(inst_i, inst_j):
+                total += abs(cols_i[0] - cols_j[0])
+                if any(cells_j[c] not in pattern for c in cols_i) or any(
+                    cells_i[c] not in pattern for c in cols_j
+                ):
+                    total += 1
+            total += abs(len(inst_i) - len(inst_j))
+    return float(total)
+
+
+def full_table_profile_fill(s, ga, gb):
+    """Score table and traceback pointers of the profile DP, kept whole.
+
+    A frozen copy of the full-table anti-diagonal fill the profile
+    kernel replaced; pointer codes are 0 diagonal, 1 up, 2 left.
+    """
+    la, lb = s.shape
+    h = np.empty((la + 1, lb + 1), dtype=np.float64)
+    ptr = np.empty((la + 1, lb + 1), dtype=np.uint8)
+    h[0, 0] = 0.0
+    h[0, 1:] = np.cumsum(gb)
+    h[1:, 0] = np.cumsum(ga)
+    ptr[0, :] = 2
+    ptr[:, 0] = 1
+    ptr[0, 0] = 0
+    for d in range(2, la + lb + 1):
+        lo = max(1, d - lb)
+        hi = min(la, d - 1)
+        if lo > hi:
+            continue
+        i = np.arange(lo, hi + 1)
+        j = d - i
+        diag = h[i - 1, j - 1] + s[i - 1, j - 1]
+        up = h[i - 1, j] + ga[i - 1]
+        left = h[i, j - 1] + gb[j - 1]
+        best = np.maximum(diag, np.maximum(up, left))
+        h[i, j] = best
+        ptr[i, j] = np.where(diag == best, 0, np.where(up == best, 1, 2))
+    return h, ptr

@@ -118,6 +118,18 @@ class TestGenLog:
             ({"format": "tracealign-model", "version": 1}, "'model'"),
             ({"format": "tracealign-model", "version": 1, "model": {"kind": "sequence"}},
              "'children'"),
+            ([{"format": "tracealign-model"}], "must be an object"),
+            ({"format": "tracealign-model", "version": 1,
+              "model": {"kind": "sequence", "children": 5}}, "'children' must be a list"),
+            ({"format": "tracealign-model", "version": 1,
+              "model": {"kind": "choice", "children": [{"kind": "activity", "label": "a"}],
+                        "probabilities": 1}}, "'probabilities' must be a list"),
+            ({"format": "tracealign-model", "version": 1,
+              "model": {"kind": "loop", "child": 5, "continue_probability": 0.5}},
+             "must be an object"),
+            ({"format": "tracealign-model", "version": 1,
+              "model": {"kind": "loop", "child": {"kind": "activity", "label": "a"},
+                        "continue_probability": None}}, "needs a number"),
         ],
     )
     def test_missing_key_is_single_line(self, tmp_path, capsys, document, missing):

@@ -4,9 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from tracealign import _kernels
-
-from oracles import brute_force_best_score
+from conftest import random_log
+from oracles import (
+    _path_templates,
+    brute_force_best_score,
+    full_table_profile_fill,
+    misalignment_oracle,
+)
+from tracealign import _kernels, extract_patterns, progressive_align
+from tracealign.experiments import perturb
+from tracealign.metrics import misalignment_score
 
 SCHEMES = [(1.0, -1.0, 0.0), (2.0, -0.5, -0.25), (1.0, -1.0, -1.0)]
 
@@ -22,8 +29,9 @@ def random_codes(rng, max_len=9, alphabet=4):
 
 
 class TestBackendsAgree:
-    """The selected backend and the pure-numpy path must match exactly,
-    including traceback pointers (tie-breaking is part of the contract)."""
+    """The selected pairwise-DP backend and the pure-numpy path must match
+    exactly, including traceback pointers (tie-breaking is part of the
+    contract)."""
 
     def test_nw_fill(self, rng):
         for _ in range(40):
@@ -43,26 +51,72 @@ class TestBackendsAgree:
             assert np.array_equal(h1, h2)
             assert np.array_equal(p1, p2)
 
-    def test_profile_fill(self, rng):
-        for _ in range(20):
-            la = int(rng.integers(1, 8))
-            lb = int(rng.integers(1, 8))
-            s = rng.normal(size=(la, lb))
-            ga = rng.normal(size=la) * 0.1
-            gb = rng.normal(size=lb) * 0.1
-            h1, p1 = _kernels.profile_fill(s, ga, gb)
-            h2, p2 = _kernels._profile_fill_py(s, ga, gb)
-            assert np.array_equal(h1, h2)
-            assert np.array_equal(p1, p2)
 
-    def test_ms_pattern(self, rng):
-        starts = np.array([[0, 2], [1, 0]], dtype=np.int64)
-        n_starts = np.array([2, 1], dtype=np.int64)
-        col_of = np.array([[0, 1, 2, 3, 4], [0, 2, 3, -1, -1]], dtype=np.int64)
-        codes = np.array([[0, 1, 0, 1, 2], [2, -1, 0, 1, -1]], dtype=np.int64)
-        in_pattern = np.array([True, True, False])
-        args = (starts, n_starts, col_of, codes, 2, in_pattern)
-        assert _kernels.ms_pattern(*args) == _kernels._ms_pattern_loops(*args)
+class TestProfileFill:
+    """The rolling-diagonal profile DP against a full-table fill and against
+    every alignment path."""
+
+    def test_pointers_match_full_table_fill(self, rng):
+        for trial in range(60):
+            la, lb = (int(n) for n in rng.integers(0, 13, size=2))
+            if trial % 2:
+                # Integer scores force ties, so the tie-break is compared too.
+                s = rng.integers(-2, 3, size=(la, lb)).astype(np.float64)
+                ga = -rng.integers(0, 2, size=la).astype(np.float64)
+                gb = -rng.integers(0, 2, size=lb).astype(np.float64)
+            else:
+                s = rng.normal(size=(la, lb))
+                ga = rng.normal(size=la) * 0.1
+                gb = rng.normal(size=lb) * 0.1
+            _, expected = full_table_profile_fill(s, ga, gb)
+            assert np.array_equal(_kernels.profile_fill(s, ga, gb), expected)
+
+    def test_traced_path_scores_the_best_path(self, rng):
+        for la, lb in itertools.product(range(6), repeat=2):
+            # Quarter-integer scores keep every sum exact in float64.
+            s = rng.integers(-8, 9, size=(la, lb)) / 4.0
+            ga = -rng.integers(0, 5, size=la) / 4.0
+            gb = -rng.integers(0, 5, size=lb) / 4.0
+            first, second = _kernels.traceback(_kernels.profile_fill(s, ga, gb))
+            traced = sum(
+                s[i, j] if i >= 0 and j >= 0 else ga[i] if i >= 0 else gb[j]
+                for i, j in zip(first.tolist(), second.tolist())
+            )
+            cells, _ = _path_templates(la, lb)
+            paired = cells.reshape(len(cells), la, lb)
+            best = (
+                cells @ s.ravel()
+                + (1 - paired.sum(axis=2)) @ ga
+                + (1 - paired.sum(axis=1)) @ gb
+            ).max()
+            assert traced == best
+
+
+class TestMsPattern:
+    """Misalignment scoring against the per-pair oracle."""
+
+    @pytest.mark.parametrize("moves", [0, 3, 10])
+    @pytest.mark.parametrize("block_cells", [None, 8])
+    def test_matches_oracle_on_every_census_pattern(self, monkeypatch, moves, block_cells):
+        if block_cells is not None:
+            # A tiny budget splits the rows of every pattern into blocks.
+            monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(70 + moves)
+        for case in range(25):
+            n_types = int(rng.integers(1, 5))
+            log = random_log(
+                rng,
+                n_traces=int(rng.integers(2, 7)),
+                min_len=1,
+                max_len=8,
+                alphabet=("a", "b", "c", "d")[:n_types],
+            )
+            if log.max_trace_length < 2:
+                continue
+            alignment = perturb(progressive_align(log), moves, seed=case).alignment
+            for pattern, _ in extract_patterns(log).items():
+                expected = misalignment_oracle(alignment, pattern)
+                assert misalignment_score(alignment, pattern) == expected
 
 
 def pad(sequences):

@@ -458,6 +458,25 @@ class TestPatternHelpers:
         assert census.count(("b", "a")) == 3
         assert most_frequent_pattern(census) == ("a", "b")
 
+    @pytest.mark.parametrize(
+        "traces, tied",
+        [
+            # Every pattern of "cabc" occurs twice: lengths 2 to 4 tie.
+            (["cabc", "cabc"], 6),
+            # (b, c), (c, a) and (b, c, a) twice each, (a, b) once.
+            (["bca", "bca", "ab"], 3),
+            # Every pattern of "dcba" occurs twice; (b, a) is the
+            # lexicographically smallest of the pairs.
+            (["dcba", "dcba"], 6),
+        ],
+    )
+    def test_most_frequent_pattern_breaks_ties_like_a_full_scan(self, traces, tied):
+        census = extract_patterns(make_log(*((f"t{i}", t) for i, t in enumerate(traces))))
+        counts = [n for _, n in census.items()]
+        assert counts.count(max(counts)) == tied
+        expected = min(census.items(), key=lambda entry: (-entry[1], len(entry[0]), entry[0]))
+        assert most_frequent_pattern(census) == expected[0]
+
 
 class TestEvaluateAlignment:
     def test_reference_fields_only_with_reference(self):
