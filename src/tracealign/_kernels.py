@@ -1,43 +1,18 @@
-"""Hot numeric kernels: batched numpy, plus a numba-jitted pairwise DP.
+"""Hot numeric kernels, one numpy implementation each.
 
-All-pairs scoring (``nw_scores``), the profile DP (``profile_fill``) and
-misalignment scoring (``ms_pattern``) are numpy kernels on every
-backend.  For the pairwise DP (``nw_fill``) the backend is chosen at
-import time.  Set ``TRACEALIGN_NUMBA=0`` to force the numpy path (useful
-for debugging and for benchmarking the jit speedup); anything else uses
-numba when it is importable.
-
-Both ``nw_fill`` backends compute bit-identical tables: fill-order
-tie-breaking is done with the same comparisons on the same float64
-values, so traceback pointers agree exactly.
+``nw_fill`` is the one pairwise DP.  All-pairs scoring (``nw_scores``)
+and the profile DP (``profile_fill``) run its recurrence with the same
+float64 operations, fill order and tie-breaking.  Misalignment scoring
+(``ms_pattern``) and the column statistics are whole-array numpy
+passes.  There is no other backend.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    value = os.environ.get("TRACEALIGN_NUMBA", "1").strip().lower()
-    return value not in {"0", "false", "no", "off"}
-
-
-_HAVE_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-
-def using_numba() -> bool:
-    return _HAVE_NUMBA
+# The kernel implementation, named in benchmark environment records.
+BACKEND = "numpy"
 
 
 # Traceback pointer codes. Fill order prefers DIAG (consume one symbol of
@@ -49,7 +24,7 @@ DIAG, UP, LEFT = 0, 1, 2
 # Pairwise global alignment over integer-coded sequences.
 
 
-def _nw_fill_py(a, b, match, mismatch, gap):
+def nw_fill(a, b, match, mismatch, gap):
     """DP table + traceback pointers, sweeping anti-diagonals in numpy."""
     la, lb = a.size, b.size
     h = np.empty((la + 1, lb + 1), dtype=np.float64)
@@ -78,35 +53,6 @@ def _nw_fill_py(a, b, match, mismatch, gap):
     return h, ptr
 
 
-def _nw_fill_loops(a, b, match, mismatch, gap):
-    la, lb = a.size, b.size
-    h = np.empty((la + 1, lb + 1), dtype=np.float64)
-    ptr = np.empty((la + 1, lb + 1), dtype=np.uint8)
-    ptr[0, 0] = DIAG
-    h[0, 0] = 0.0
-    for j in range(1, lb + 1):
-        h[0, j] = gap * j
-        ptr[0, j] = LEFT
-    for i in range(1, la + 1):
-        h[i, 0] = gap * i
-        ptr[i, 0] = UP
-        for j in range(1, lb + 1):
-            sub = match if a[i - 1] == b[j - 1] else mismatch
-            best = h[i - 1, j - 1] + sub
-            p = DIAG
-            up = h[i - 1, j] + gap
-            if up > best:
-                best = up
-                p = UP
-            left = h[i, j - 1] + gap
-            if left > best:
-                best = left
-                p = LEFT
-            h[i, j] = best
-            ptr[i, j] = p
-    return h, ptr
-
-
 # Cell budget of one block of the all-pairs sweep, counted as
 # pairs x (A + B + 1) for the block's longest sides A and B.  It bounds
 # both the rolling diagonals and the gathered codes, so a block's
@@ -118,12 +64,13 @@ _BLOCK_CELLS = 1 << 14
 def nw_scores(padded, lengths, match, mismatch, gap):
     """All-pairs best global alignment scores, (N, N) and symmetric.
 
-    Every pair (i < j) runs the recurrence of ``nw_fill`` with trace i
-    as the first side, but many pairs share one numpy sweep over the
-    anti-diagonals: pairs are sorted by (la, lb), cut into blocks under
-    ``_BLOCK_CELLS`` and each block keeps three rolling ``(pairs, A+1)``
-    diagonals with ``H_d[:, i] = h[i, d - i]``.  Each cell does the same
-    float64 operations in the same order as ``nw_fill``, so scores are
+    Every pair (i < j) runs the recurrence of ``nw_fill``, the one
+    pairwise DP, with trace i as the first side, but many pairs share
+    one numpy sweep over the anti-diagonals: pairs are sorted by
+    (la, lb), cut into blocks under ``_BLOCK_CELLS`` and each block
+    keeps three rolling ``(pairs, A+1)`` diagonals with
+    ``H_d[:, i] = h[i, d - i]``.  Each cell does the same float64
+    operations in the same order as ``nw_fill``, so scores are
     bit-identical.  Cells past a pair's own (la, lb) read -1 padding, but
     they never feed that pair's cells, which only look up and left.
     """
@@ -183,7 +130,7 @@ def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
 # ---------------------------------------------------------------------------
 # Profile-profile alignment: the pair scores are precomputed into S and
 # the per-column gap-insertion costs into ga/gb, so the kernel is shape-
-# agnostic (identical recurrence to the pairwise DP).
+# agnostic (the recurrence of ``nw_fill`` with per-cell scores).
 
 
 def profile_fill(s, ga, gb):
@@ -191,8 +138,9 @@ def profile_fill(s, ga, gb):
 
     Only the pointer table is kept: the scores live on three rolling
     anti-diagonals with ``H_d[i] = h[i, d - i]``, so memory is linear in
-    the profile lengths.  Each cell does the same float64 operations in
-    the same order as a full-table fill, so the pointers are identical.
+    the profile lengths.  Each cell does the float64 operations of
+    ``nw_fill``, the one pairwise DP, in the same order and with the same
+    tie-breaking, so the pointers equal those of a full-table fill.
     """
     la, lb = s.shape
     ptr = np.empty((la + 1, lb + 1), dtype=np.uint8)
@@ -308,7 +256,7 @@ def ms_pattern(starts, n_starts, col_of, codes_grid, pat_len, in_pattern):
 
 
 # ---------------------------------------------------------------------------
-# Column statistics (vectorized numpy on both backends).
+# Column statistics.
 
 
 def column_counts(codes_grid: np.ndarray, n_symbols: int) -> np.ndarray:
@@ -340,23 +288,3 @@ def entropy_per_column(counts: np.ndarray) -> np.ndarray:
         logs = np.log2(freq, out=np.zeros_like(freq), where=counts > 0)
         terms = np.where(counts > 0, -freq * logs, 0.0)
     return terms.sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Backend selection.
-
-if _HAVE_NUMBA:
-    _nw_fill_jit = njit(cache=True)(_nw_fill_loops)
-    nw_fill = _nw_fill_jit
-else:
-    _nw_fill_jit = None
-    nw_fill = _nw_fill_py
-
-
-def warmup() -> None:
-    """Trigger jit compilation on tiny inputs (no-op on the numpy path)."""
-    a = np.array([0, 1], dtype=np.int64)
-    b = np.array([0, 2], dtype=np.int64)
-    nw_fill(a, b, 1.0, -1.0, 0.0)
-    padded = np.stack([a, b])
-    nw_scores(padded, np.array([2, 2], dtype=np.int64), 1.0, -1.0, 0.0)

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import _kernels, formats
+from . import formats
 from .aligner import ScoringScheme, consensus_reference, progressive_align
 from .core import TraceAlignError
 from .experiments import correlation_experiment, generate_log, perturb
@@ -53,12 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracealign",
         description="Multi-trace alignment and alignment-quality evaluation for event logs.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="upper bound on internal threads (0 = all available)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -249,21 +243,9 @@ _COMMANDS = {
 }
 
 
-def _apply_thread_bound(threads: int) -> None:
-    if threads <= 0 or not _kernels.using_numba():
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(min(threads, numba.config.NUMBA_NUM_THREADS))
-    except Exception:
-        pass
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_thread_bound(args.threads)
     try:
         _check_paths(args)
         return _COMMANDS[args.command](args)

@@ -402,12 +402,13 @@ def _sample_metrics(
     alignment: Alignment,
     reference: Alignment,
     census: PatternCensus,
+    top: Pattern,
     scheme: ScoringScheme,
     tf_ratio: float,
 ) -> dict[str, float | None]:
     values: dict[str, float | None] = {
         "ref_free_sps": ref_free_sps(alignment, scheme),
-        "ms_top": misalignment_score(alignment, most_frequent_pattern(census)),
+        "ms_top": misalignment_score(alignment, top),
         "ois": overall_information_score(alignment),
         "complexity": alignment_complexity(alignment).value,
     }
@@ -445,13 +446,14 @@ def correlation_experiment(
         raise ValueError(f"need at least 10 samples, got {samples}")
     reference = consensus_reference(log, scheme, k=k, seed=seed)
     census = extract_patterns(log)
+    top = most_frequent_pattern(census)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
 
     points: list[SamplePoint] = []
     for idx, moves in enumerate(_stratified_moves(samples, max_moves)):
         perturbed = perturb(reference, moves, seeds[idx])
         n_e = count_heuristic_errors(perturbed.alignment, reference)
-        metrics = _sample_metrics(perturbed.alignment, reference, census, scheme, tf_ratio)
+        metrics = _sample_metrics(perturbed.alignment, reference, census, top, scheme, tf_ratio)
         points.append(SamplePoint(idx, moves, n_e, metrics))
 
     coefficients: dict[str, float | None] = {}

@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from tracealign import EventLog, Trace, _kernels
+from tracealign import EventLog, Trace
 
 # Criterion results recorded by tests/test_acceptance.py, printed at the
 # end of the run so every criterion gets one visible pass/fail line.
@@ -20,12 +19,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = "PASS" if passed else "FAIL"
         suffix = f"  ({detail})" if detail else ""
         terminalreporter.write_line(f"{status}  {name}{suffix}")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # Jit compilation happens once here, outside any timed assertion.
-    _kernels.warmup()
 
 
 def random_log(

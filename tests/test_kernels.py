@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import tracealign
 from conftest import random_log
 from oracles import (
     _path_templates,
@@ -23,33 +24,36 @@ def rng():
     return np.random.default_rng(60)
 
 
-def random_codes(rng, max_len=9, alphabet=4):
-    n = int(rng.integers(1, max_len + 1))
-    return rng.integers(0, alphabet, size=n).astype(np.int64)
+class TestNwFill:
+    """The pairwise DP against the frozen full-table fill and against every
+    alignment path."""
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_full_table_fill(self, rng, scheme):
+        match, mismatch, gap = scheme
+        for _ in range(100):
+            la, lb = (int(n) for n in rng.integers(0, 12, size=2))
+            a = rng.integers(0, 3, size=la)
+            b = rng.integers(0, 3, size=lb)
+            sub = np.where(a[:, None] == b[None, :], match, mismatch)
+            h, ptr = _kernels.nw_fill(a, b, *scheme)
+            expected_h, expected_ptr = full_table_profile_fill(
+                sub, np.full(la, gap), np.full(lb, gap)
+            )
+            assert np.array_equal(h, expected_h)
+            assert np.array_equal(ptr, expected_ptr)
 
-class TestBackendsAgree:
-    """The selected pairwise-DP backend and the pure-numpy path must match
-    exactly, including traceback pointers (tie-breaking is part of the
-    contract)."""
-
-    def test_nw_fill(self, rng):
-        for _ in range(40):
-            a = random_codes(rng)
-            b = random_codes(rng)
-            h1, p1 = _kernels.nw_fill(a, b, 1.0, -1.0, 0.0)
-            h2, p2 = _kernels._nw_fill_py(a, b, 1.0, -1.0, 0.0)
-            assert np.array_equal(h1, h2)
-            assert np.array_equal(p1, p2)
-
-    def test_nw_fill_nonzero_gap_scheme(self, rng):
-        for _ in range(20):
-            a = random_codes(rng)
-            b = random_codes(rng)
-            h1, p1 = _kernels.nw_fill(a, b, 2.0, -0.5, -0.25)
-            h2, p2 = _kernels._nw_fill_py(a, b, 2.0, -0.5, -0.25)
-            assert np.array_equal(h1, h2)
-            assert np.array_equal(p1, p2)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_brute_force_on_every_small_pair(self, scheme):
+        sequences = [
+            np.array(seq, dtype=np.int64)
+            for n in range(5)
+            for seq in itertools.product(range(3), repeat=n)
+        ]
+        for a, b in itertools.combinations_with_replacement(sequences, 2):
+            best = brute_force_best_score(a, b, *scheme)
+            assert _kernels.nw_fill(a, b, *scheme)[0][-1, -1] == best
+            assert _kernels.nw_fill(b, a, *scheme)[0][-1, -1] == best
 
 
 class TestProfileFill:
@@ -191,5 +195,4 @@ class TestColumnCounts:
 
 
 def test_backend_name_is_exposed():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    assert _kernels.using_numba() == (_kernels.BACKEND == "numba")
+    assert tracealign.BACKEND == "numpy"
