@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .metrics import (
     METRIC_ORDER,
     Pattern,
     PatternCensus,
+    _check_tf_ratio,
+    _weighted_misalignment,
     alignment_complexity,
     column_score,
     count_heuristic_errors,
@@ -394,8 +396,27 @@ class CorrelationReport:
     parameters: dict[str, object] = field(default_factory=dict)
 
 
-def _stratified_moves(samples: int, max_moves: int) -> list[int]:
-    return [int(round(v)) for v in np.linspace(0.0, max_moves, samples)]
+def _labelled_samples(
+    log: EventLog, scheme: ScoringScheme, samples: int, max_moves: int, seed: int, k: int
+) -> tuple[Alignment, PatternCensus, Iterator[tuple[int, Alignment, int]]]:
+    """The reference, census and perturbed samples both correlation studies use.
+
+    Returns the consensus reference, the log's pattern census and an
+    iterator over ``(moves, alignment, n_e)``: ``samples`` perturbations
+    of the reference with move counts spread evenly over [0, max_moves],
+    each from its own seed, labelled with its heuristic-error count.
+    """
+    reference = consensus_reference(log, scheme, k=k, seed=seed)
+    census = extract_patterns(log)
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
+    moves = [int(round(v)) for v in np.linspace(0.0, max_moves, samples)]
+
+    def draw() -> Iterator[tuple[int, Alignment, int]]:
+        for n_moves, sample_seed in zip(moves, seeds):
+            alignment = perturb(reference, n_moves, sample_seed).alignment
+            yield n_moves, alignment, count_heuristic_errors(alignment, reference)
+
+    return reference, census, draw()
 
 
 def _sample_metrics(
@@ -444,16 +465,11 @@ def correlation_experiment(
     """
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples}")
-    reference = consensus_reference(log, scheme, k=k, seed=seed)
-    census = extract_patterns(log)
+    reference, census, draws = _labelled_samples(log, scheme, samples, max_moves, seed, k)
     top = most_frequent_pattern(census)
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
-
     points: list[SamplePoint] = []
-    for idx, moves in enumerate(_stratified_moves(samples, max_moves)):
-        perturbed = perturb(reference, moves, seeds[idx])
-        n_e = count_heuristic_errors(perturbed.alignment, reference)
-        metrics = _sample_metrics(perturbed.alignment, reference, census, top, scheme, tf_ratio)
+    for idx, (moves, alignment, n_e) in enumerate(draws):
+        metrics = _sample_metrics(alignment, reference, census, top, scheme, tf_ratio)
         points.append(SamplePoint(idx, moves, n_e, metrics))
 
     coefficients: dict[str, float | None] = {}
@@ -496,39 +512,30 @@ def tf_ratio_sweep(
 ) -> dict[float, float | None]:
     """Correlation of the overall misalignment score at several thresholds.
 
-    The perturbed samples are generated once and shared across ratios;
-    per-pattern misalignment scores are cached per sample, so only the
-    eligibility cut and the weighting change between ratios.  A ratio
-    whose eligible set is empty maps to ``None``.
+    The perturbed samples are those of :func:`correlation_experiment`,
+    generated once and shared across ratios; each eligible pattern is
+    scored once per sample, so only the eligibility cut and the
+    weighting change between ratios.  Every ratio must lie in (0, 1]; a
+    ratio whose eligible set is empty maps to ``None``.
     """
-    reference = consensus_reference(log, scheme, k=k, seed=seed)
-    census = extract_patterns(log)
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
-    lowest = min(ratios)
-    widest = census.eligible(lowest * census.f_max)
-
+    if not ratios:
+        raise ValueError("need at least one tf ratio")
+    for ratio in ratios:
+        _check_tf_ratio(ratio)
+    _, census, draws = _labelled_samples(log, scheme, samples, max_moves, seed, k)
+    widest = census.eligible(min(ratios) * census.f_max)
     n_e_values: list[int] = []
-    ms_cache: list[dict[Pattern, float]] = []
-    for idx, moves in enumerate(_stratified_moves(samples, max_moves)):
-        perturbed = perturb(reference, moves, seeds[idx])
-        n_e_values.append(count_heuristic_errors(perturbed.alignment, reference))
-        ms_cache.append(
-            {p: misalignment_score(perturbed.alignment, p) for p, _ in widest}
-        )
+    scores = {pattern: np.empty(samples) for pattern, _ in widest}
+    for idx, (_, alignment, n_e) in enumerate(draws):
+        n_e_values.append(n_e)
+        for pattern, row in scores.items():
+            row[idx] = misalignment_score(alignment, pattern)
 
     out: dict[float, float | None] = {}
     for ratio in ratios:
-        threshold = ratio * census.f_max
-        chosen = [(p, f) for p, f in widest if f > threshold]
-        if not chosen:
-            out[ratio] = None
-            continue
-        series = [
-            sum(cache[p] * (f / census.f_max) for p, f in chosen) / len(chosen)
-            for cache in ms_cache
-        ]
         try:
+            series = _weighted_misalignment(census, ratio, scores.__getitem__)
             out[ratio] = pearson(n_e_values, series)
-        except UndefinedCorrelationError:
+        except (ThresholdTooHighError, UndefinedCorrelationError):
             out[ratio] = None
     return out

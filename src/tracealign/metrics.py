@@ -12,7 +12,7 @@ one-occurrence-per-column worst case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,6 +131,8 @@ class PatternCensus:
         The bucket index is floor(buckets * f_p / f_max), with the upper
         edge folded into the last bucket.
         """
+        if buckets < 1:
+            raise ValueError(f"buckets must be >= 1, got {buckets}")
         if not self._counts:
             return {}
         size = np.dtype(self._dtype).itemsize
@@ -188,31 +190,27 @@ def ref_free_sps(alignment: Alignment, scheme: ScoringScheme = DEFAULT_SCHEME) -
     return _kernels.sps_from_counts(counts, scheme.match, scheme.mismatch, scheme.gap)
 
 
-def _check_same_source(a: Alignment, ref: Alignment) -> None:
+def _cell_table(a: Alignment, ref: Alignment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occurrences tallied by their (column in ``a``, column in ``ref``) cell.
+
+    Returns ``(counts, exact, ref_sizes)``: ``counts`` holds the
+    occurrences of each nonempty cell and ``ref_sizes`` those of each
+    reference column.  A cell is ``exact``
+    when it holds the whole of its column in both alignments: exactly
+    then do its occurrences have the same column partners in both.
+    """
     if a.source != ref.source:
         raise SourceMismatchError("alignments do not share a source log")
-
-
-def _occurrence_ids(a: Alignment) -> np.ndarray:
-    """(R, L) global occurrence ids (offset + ordinal), -1 for gaps."""
-    offsets = np.concatenate([[0], np.cumsum(a.source.lengths[:-1])])
-    return np.where(a.grid >= 0, a.grid + offsets[:, None], -1)
-
-
-def _pair_keys(a: Alignment) -> np.ndarray:
-    """Sorted array of encoded same-column occurrence pairs."""
-    ids = _occurrence_ids(a)
-    total = int(a.source.lengths.sum())
-    keys = []
-    for j in range(a.length):
-        col = np.sort(ids[:, j][ids[:, j] >= 0])
-        if col.size < 2:
-            continue
-        lo, hi = np.triu_indices(col.size, k=1)
-        keys.append(col[lo] * total + col[hi])
-    if not keys:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(keys))
+    require_valid(a)
+    require_valid(ref)
+    occupied = a.column_of >= 0
+    ca = a.column_of[occupied]
+    cr = ref.column_of[occupied]
+    cells, counts = np.unique(ca * ref.length + cr, return_counts=True)
+    sizes = np.bincount(ca, minlength=a.length)
+    ref_sizes = np.bincount(cr, minlength=ref.length)
+    exact = (counts == sizes[cells // ref.length]) & (counts == ref_sizes[cells % ref.length])
+    return counts, exact, ref_sizes
 
 
 def ref_based_sps(a: Alignment, ref: Alignment) -> float:
@@ -221,20 +219,13 @@ def ref_based_sps(a: Alignment, ref: Alignment) -> float:
     A pair is two occurrences sharing a column; identity is by
     occurrence, so repeated activities of one type stay distinct.
     """
-    _check_same_source(a, ref)
-    require_valid(a)
-    require_valid(ref)
-    ref_pairs = _pair_keys(ref)
-    if ref_pairs.size == 0:
+    counts, _, ref_sizes = _cell_table(a, ref)
+    ref_pairs = int((ref_sizes * (ref_sizes - 1)).sum()) // 2
+    if ref_pairs == 0:
         raise DegenerateReferenceError("reference alignment has no aligned pairs")
-    mine = _pair_keys(a)
-    common = np.intersect1d(mine, ref_pairs, assume_unique=True)
-    return common.size / ref_pairs.size
-
-
-def _column_sets(a: Alignment) -> list[frozenset[int]]:
-    ids = _occurrence_ids(a)
-    return [frozenset(ids[:, j][ids[:, j] >= 0].tolist()) for j in range(a.length)]
+    # Two occurrences share a column in both alignments iff they share a cell.
+    common = int((counts * (counts - 1)).sum()) // 2
+    return common / ref_pairs
 
 
 def column_score(a: Alignment, ref: Alignment) -> float:
@@ -243,13 +234,8 @@ def column_score(a: Alignment, ref: Alignment) -> float:
     Occurrence sets of distinct columns are disjoint, so each reference
     column can match at most one result column.
     """
-    _check_same_source(a, ref)
-    require_valid(a)
-    require_valid(ref)
-    ref_columns = set(_column_sets(ref))
-    mine = _column_sets(a)
-    correct = sum(1 for col in mine if col in ref_columns)
-    return correct / len(mine)
+    _, exact, _ = _cell_table(a, ref)
+    return int(exact.sum()) / a.length
 
 
 def misalignment_score(alignment: Alignment, pattern: Sequence[str]) -> float:
@@ -314,8 +300,26 @@ def overall_misalignment_score(
     """
     if not census:
         raise ValueError("pattern census is empty")
+    _check_tf_ratio(tf_ratio)
+    return _weighted_misalignment(census, tf_ratio, lambda p: misalignment_score(alignment, p))
+
+
+def _check_tf_ratio(tf_ratio: float) -> None:
     if not 0.0 < tf_ratio <= 1.0:
         raise ValueError(f"tf_ratio must be in (0, 1], got {tf_ratio}")
+
+
+def _weighted_misalignment(
+    census: PatternCensus,
+    tf_ratio: float,
+    score: Callable[[Pattern], float | np.ndarray],
+) -> float | np.ndarray:
+    """The eligibility cut and weighting of :func:`overall_misalignment_score`.
+
+    ``score(pattern)`` gives a pattern's misalignment: a float, or an
+    array holding one per alignment, which yields one OMS per alignment
+    with each element computed by the same float operations.
+    """
     threshold = tf_ratio * census.f_max
     chosen = census.eligible(threshold)
     if not chosen:
@@ -324,7 +328,7 @@ def overall_misalignment_score(
         )
     total = 0.0
     for pattern, f_p in chosen:
-        total += misalignment_score(alignment, pattern) * (f_p / census.f_max)
+        total += score(pattern) * (f_p / census.f_max)
     return total / len(chosen)
 
 
@@ -386,10 +390,8 @@ def alignment_complexity(alignment: Alignment) -> ComplexityResult:
     value = 1.0 - m / (n * length)
     lower = 1.0 - m / (n * alignment.l_min)
     upper = 1.0 - 1.0 / n
-    result = ComplexityResult(value, lower, upper)
-    if not lower - 1e-12 <= value <= upper + 1e-12:
-        raise AssertionError(f"complexity {value} outside bounds [{lower}, {upper}]")
-    return result
+    # Exact bounds: valid means l_min <= length <= m, and rounded division is monotone.
+    return ComplexityResult(value, lower, upper)
 
 
 class ConsensusEntry(NamedTuple):
@@ -425,20 +427,8 @@ def consensus_sequence(alignment: Alignment, majority: float = 0.5) -> list[Cons
 
 def count_heuristic_errors(a: Alignment, ref: Alignment) -> int:
     """Occurrences whose same-column partner set differs from the reference."""
-    _check_same_source(a, ref)
-    require_valid(a)
-    require_valid(ref)
-
-    def membership(al: Alignment) -> dict[int, frozenset[int]]:
-        out: dict[int, frozenset[int]] = {}
-        for column in _column_sets(al):
-            for occ in column:
-                out[occ] = column
-        return out
-
-    mine = membership(a)
-    theirs = membership(ref)
-    return sum(1 for occ, column in mine.items() if column != theirs[occ])
+    counts, exact, _ = _cell_table(a, ref)
+    return int(counts.sum() - counts[exact].sum())
 
 
 METRIC_ORDER = (

@@ -9,8 +9,12 @@ The three-trace oracle is a direct 7-transition dynamic program over
 all column compositions.  The misalignment oracle walks every trace pair
 in plain Python, straight from the ``misalignment_score`` docstring, and
 the profile-fill oracle is a frozen full-table copy of the profile DP.
+The reference-metric oracles compare sets of occurrence ids, as the
+docstrings of ``ref_based_sps``, ``column_score`` and
+``count_heuristic_errors`` define them.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -191,3 +195,41 @@ def full_table_profile_fill(s, ga, gb):
         h[i, j] = best
         ptr[i, j] = np.where(diag == best, 0, np.where(up == best, 1, 2))
     return h, ptr
+
+
+def aligned_pairs(alignment):
+    """Every pair of occurrences that shares a column of ``alignment``."""
+    return {
+        pair
+        for j in range(alignment.length)
+        for pair in itertools.combinations(alignment.column_occurrences(j), 2)
+    }
+
+
+def column_sets(alignment):
+    """The occurrence set of each column, in column order."""
+    return [frozenset(alignment.column_occurrences(j)) for j in range(alignment.length)]
+
+
+def ref_based_sps_oracle(a, ref):
+    """Share of the reference's aligned pairs kept by ``a``; None if it has none."""
+    ref_pairs = aligned_pairs(ref)
+    if not ref_pairs:
+        return None
+    return len(aligned_pairs(a) & ref_pairs) / len(ref_pairs)
+
+
+def column_score_oracle(a, ref):
+    """Share of the columns of ``a`` whose occurrence set is a reference column."""
+    ref_columns = set(column_sets(ref))
+    return sum(column in ref_columns for column in column_sets(a)) / a.length
+
+
+def heuristic_errors_oracle(a, ref):
+    """Occurrences whose set of same-column partners differs from the reference."""
+
+    def partners(alignment):
+        return {occ: column for column in column_sets(alignment) for occ in column}
+
+    mine, theirs = partners(a), partners(ref)
+    return sum(mine[occ] != theirs[occ] for occ in mine)

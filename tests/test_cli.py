@@ -88,6 +88,16 @@ class TestPatterns:
         assert main(["patterns", str(log_path)]) == 0
         assert "f_max=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    @pytest.mark.parametrize("buckets", ["0", "-1"])
+    def test_bucket_count_below_one_is_single_line(self, log_path, capsys, fmt, buckets):
+        code = main(["patterns", str(log_path), "-f", fmt, "--buckets", buckets])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("tracealign: error: buckets must be >= 1")
+        assert captured.err.count("\n") == 1
+
 
 class TestPerturbCommand:
     def test_seed_is_printed_and_output_valid(self, alignment_path, tmp_path, capsys):

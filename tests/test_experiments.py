@@ -265,4 +265,15 @@ class TestTfRatioSweep:
         report = correlation_experiment(
             log, samples=10, max_moves=15, tf_ratio=0.4, seed=13, k=2
         )
-        assert sweep[0.4] == pytest.approx(report.coefficients["oms"])
+        assert sweep[0.4] == report.coefficients["oms"]
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.2, 1.5])
+    def test_rejects_ratios_the_metric_rejects(self, ratio):
+        log = generate_log(load_bundled_model("checkout"), 12, seed=5)
+        with pytest.raises(ValueError, match=r"tf_ratio must be in \(0, 1\], got"):
+            tf_ratio_sweep(log, (0.4, ratio), samples=10, max_moves=15, seed=13, k=2)
+
+    def test_rejects_empty_ratios(self):
+        log = generate_log(load_bundled_model("checkout"), 12, seed=5)
+        with pytest.raises(ValueError, match="at least one tf ratio"):
+            tf_ratio_sweep(log, (), samples=10, max_moves=15, seed=13, k=2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_log
+from oracles import column_score_oracle, heuristic_errors_oracle, ref_based_sps_oracle
 from tracealign import (
     Alignment,
     DegenerateReferenceError,
     EventLog,
+    InvalidAlignmentError,
     Pattern,
     SourceMismatchError,
     ThresholdTooHighError,
@@ -26,6 +29,7 @@ from tracealign import (
     most_frequent_pattern,
     overall_information_score,
     overall_misalignment_score,
+    perturb,
     progressive_align,
     ref_based_sps,
     ref_free_sps,
@@ -150,6 +154,45 @@ class TestColumnScore:
             ],
         )
         assert column_score(one, ref) == column_score(two, ref) == pytest.approx(1 / 3)
+
+
+class TestReferenceMetrics:
+    def test_match_set_oracles_exactly(self):
+        rng = np.random.default_rng(37)
+        pair_free = 0
+        for _ in range(60):
+            log = random_log(rng, n_traces=int(rng.integers(2, 6)), min_len=1, max_len=6)
+            base = progressive_align(log)
+            alignments = [base] + [
+                perturb(base, moves, int(rng.integers(1 << 30))).alignment for moves in (1, 3, 10)
+            ]
+            for a, ref in itertools.product(alignments, repeat=2):
+                expected = ref_based_sps_oracle(a, ref)
+                if expected is None:
+                    pair_free += 1
+                    with pytest.raises(DegenerateReferenceError):
+                        ref_based_sps(a, ref)
+                else:
+                    sps = ref_based_sps(a, ref)
+                    assert type(sps) is float and sps == expected
+                score = column_score(a, ref)
+                assert type(score) is float and score == column_score_oracle(a, ref)
+                n_e = count_heuristic_errors(a, ref)
+                assert type(n_e) is int and n_e == heuristic_errors_oracle(a, ref)
+        assert pair_free > 0
+
+    @pytest.mark.parametrize("metric", [ref_based_sps, column_score, count_heuristic_errors])
+    def test_error_precedence(self, metric):
+        pair_free = aligned([["a", "-"], ["-", "b"]])
+        broken = Alignment(pair_free.source, [[0, -1, -1], [-1, 0, -1]])
+        other = aligned([["a"], ["a"]])
+        broken_other = Alignment(other.source, [[0, -1], [0, -1]])
+        with pytest.raises(SourceMismatchError):
+            metric(broken_other, broken)
+        with pytest.raises(InvalidAlignmentError, match="column 2 is all gaps"):
+            metric(broken, pair_free)
+        with pytest.raises(InvalidAlignmentError, match="column 2 is all gaps"):
+            metric(pair_free, broken)
 
 
 class TestExtractPatterns:
@@ -385,10 +428,12 @@ class TestAlignmentComplexity:
 
     def test_bounds_hold_for_progressive_alignments(self):
         rng = np.random.default_rng(34)
-        for _ in range(25):
+        for k in range(25):
             log = random_log(rng, n_traces=int(rng.integers(2, 7)))
-            result = alignment_complexity(progressive_align(log))
-            assert result.lower_bound <= result.value <= result.upper_bound
+            base = progressive_align(log)
+            for a in (base, perturb(base, 3, k).alignment, perturb(base, 30, k).alignment):
+                result = alignment_complexity(a)
+                assert result.lower_bound <= result.value <= result.upper_bound
 
 
 class TestConsensusSequence:
