@@ -183,40 +183,26 @@ def build_guide_tree(distances: np.ndarray) -> GuideTree:
     if np.any(np.diagonal(d) != 0.0):
         raise ValueError("distance matrix must have a zero diagonal")
 
-    # Active clusters; average linkage via the Lance-Williams update.
-    trees: list[GuideTree | None] = [GuideTree.leaf(i) for i in range(n)]
+    # A merged cluster keeps the slot of its smaller minimum leaf, so every
+    # active slot is its own minimum leaf and ``active`` stays sorted: the
+    # tie-break is the first minimum of the active upper triangle, row-major.
+    trees = [GuideTree.leaf(i) for i in range(n)]
     sizes = [1] * n
-    min_leaf = list(range(n))
     dist = d.copy()
-    active = list(range(n))
-
-    while len(active) > 1:
-        best_key: tuple[float, int, int] | None = None
-        best_pair: tuple[int, int] | None = None
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                ci, cj = active[ai], active[aj]
-                left, right = sorted((min_leaf[ci], min_leaf[cj]))
-                key = (dist[ci, cj], left, right)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pair = (ci, cj)
-        ci, cj = best_pair
-        if min_leaf[cj] < min_leaf[ci]:
-            ci, cj = cj, ci
-        merged = GuideTree.join(trees[ci], trees[cj], float(dist[ci, cj]))
-        # Reuse slot ci for the merged cluster, retire cj.
+    active = np.arange(n)
+    while active.size > 1:
+        rows, cols = np.triu_indices(active.size, 1)
+        best = int(np.argmin(dist[active[rows], active[cols]]))
+        ci, cj = int(active[rows[best]]), int(active[cols[best]])
+        trees[ci] = GuideTree.join(trees[ci], trees[cj], float(dist[ci, cj]))
+        active = active[active != cj]
+        # Average linkage via the Lance-Williams update; slot ci holds the merge.
+        others = active[active != ci]
         wi, wj = sizes[ci], sizes[cj]
-        for ck in active:
-            if ck in (ci, cj):
-                continue
-            dist[ci, ck] = dist[ck, ci] = (wi * dist[ci, ck] + wj * dist[cj, ck]) / (wi + wj)
-        trees[ci] = merged
+        merged = (wi * dist[ci, others] + wj * dist[cj, others]) / (wi + wj)
+        dist[ci, others] = dist[others, ci] = merged
         sizes[ci] = wi + wj
-        min_leaf[ci] = min(min_leaf[ci], min_leaf[cj])
-        trees[cj] = None
-        active.remove(cj)
-    return trees[active[0]]
+    return trees[int(active[0])]
 
 
 def _column_pair_scores(p1: Profile, p2: Profile, scheme: ScoringScheme):

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .aligner import DEFAULT_SCHEME, ScoringScheme, consensus_reference
+from .aligner import DEFAULT_SCHEME, ScoringScheme, _drop_all_gap_columns, consensus_reference
 from .core import (
     Alignment,
     DegenerateReferenceError,
@@ -75,11 +75,6 @@ class PerturbedAlignment:
     seed: int
 
 
-def _compact(grid: np.ndarray) -> np.ndarray:
-    keep = (grid >= 0).any(axis=0)
-    return grid[:, keep]
-
-
 def perturb(reference: Alignment, moves: int, seed: int = 0) -> PerturbedAlignment:
     """Apply exactly ``moves`` random legal single-occurrence relocations.
 
@@ -123,7 +118,7 @@ def perturb(reference: Alignment, moves: int, seed: int = 0) -> PerturbedAlignme
             source = insert_at + 1 if insert_at == j else j
             grid[i, insert_at] = grid[i, source]
             grid[i, source] = -1
-    return PerturbedAlignment(Alignment(reference.source, _compact(grid)), moves, seed)
+    return PerturbedAlignment(Alignment(reference.source, _drop_all_gap_columns(grid)), moves, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +400,12 @@ def _labelled_samples(
     iterator over ``(moves, alignment, n_e)``: ``samples`` perturbations
     of the reference with move counts spread evenly over [0, max_moves],
     each from its own seed, labelled with its heuristic-error count.
+    ``samples`` and ``max_moves`` are checked before the reference is built.
     """
+    if samples < 10:
+        raise ValueError(f"samples must be >= 10, got {samples}")
+    if max_moves < 0:
+        raise ValueError(f"max_moves must be >= 0, got {max_moves}")
     reference = consensus_reference(log, scheme, k=k, seed=seed)
     census = extract_patterns(log)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
@@ -463,8 +463,6 @@ def correlation_experiment(
     A metric whose correlation is undefined is reported with a note
     instead of aborting the others.
     """
-    if samples < 10:
-        raise ValueError(f"need at least 10 samples, got {samples}")
     reference, census, draws = _labelled_samples(log, scheme, samples, max_moves, seed, k)
     top = most_frequent_pattern(census)
     points: list[SamplePoint] = []

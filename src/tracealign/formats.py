@@ -177,10 +177,11 @@ def write_model(spec: ProcessModelSpec, path: str | Path) -> None:
 def read_model(path: str | Path) -> ProcessModelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return ProcessModelSpec.from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise FileFormatError(path, exc.lineno, exc.colno, exc.msg) from None
-    return ProcessModelSpec.from_dict(data)
+        except RecursionError:
+            raise FileFormatError(path, 1, 1, "model nests too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------

@@ -72,75 +72,74 @@ class Pattern(tuple):
 class PatternCensus:
     """Occurrence counts of every contiguous subsequence within bounds.
 
-    Overlapping occurrences count, and counting is log-wide.  Entries
-    are stored as packed code arrays keyed by their raw bytes, which
-    keeps million-entry censuses cheap; iteration decodes to
-    :class:`Pattern` on demand.
+    Overlapping occurrences count, and counting is log-wide.  Each
+    pattern length keeps the ``np.unique`` table of its windows: the
+    distinct windows as sorted rows of packed codes, and their counts.
+    That keeps million-entry censuses cheap; iteration decodes to
+    :class:`Pattern` on demand, by length and then in window order.
     """
 
     def __init__(
         self,
         alphabet: tuple[str, ...],
-        counts: dict[bytes, int],
-        dtype: np.dtype,
+        tables: Sequence[tuple[np.ndarray, np.ndarray]],
         min_len: int,
         max_len: int,
     ) -> None:
         self.alphabet = alphabet
-        self._counts = counts
-        self._dtype = dtype
+        self._tables = tuple(tables)
         self.min_len = min_len
         self.max_len = max_len
-        self.f_max = max(counts.values()) if counts else 0
+        self.f_max = max((int(counts.max()) for _, counts in self._tables), default=0)
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return sum(counts.size for _, counts in self._tables)
 
     def __bool__(self) -> bool:
-        return bool(self._counts)
-
-    def _decode(self, key: bytes) -> Pattern:
-        codes = np.frombuffer(key, dtype=self._dtype)
-        return Pattern(self.alphabet[c] for c in codes)
-
-    def _encode(self, pattern: Sequence[str]) -> bytes | None:
-        try:
-            codes = np.array([self.alphabet.index(s) for s in pattern], dtype=self._dtype)
-        except ValueError:
-            return None
-        return codes.tobytes()
+        return bool(self._tables)
 
     def count(self, pattern: Sequence[str]) -> int:
-        key = self._encode(pattern)
-        return self._counts.get(key, 0) if key is not None else 0
+        for windows, counts in self._tables:
+            if windows.shape[1] == len(pattern):
+                try:
+                    codes = [self.alphabet.index(s) for s in pattern]
+                except ValueError:
+                    return 0
+                hit = np.flatnonzero((windows == codes).all(axis=1))
+                return int(counts[hit[0]]) if hit.size else 0
+        return 0
 
     def __contains__(self, pattern: Sequence[str]) -> bool:
         return self.count(pattern) > 0
 
+    def _entries(self, threshold: float) -> Iterator[tuple[Pattern, int]]:
+        for windows, counts in self._tables:
+            keep = counts > threshold
+            for row, n in zip(windows[keep].tolist(), counts[keep].tolist()):
+                yield Pattern(self.alphabet[c] for c in row), n
+
     def items(self) -> Iterator[tuple[Pattern, int]]:
-        for key, n in self._counts.items():
-            yield self._decode(key), n
+        yield from self._entries(0)
 
     def eligible(self, threshold: float) -> list[tuple[Pattern, int]]:
         """Patterns occurring strictly more often than ``threshold``."""
-        return [(self._decode(k), n) for k, n in self._counts.items() if n > threshold]
+        return list(self._entries(threshold))
 
     def length_frequency_table(self, buckets: int = 10) -> dict[tuple[int, int], int]:
         """Pattern counts keyed by (pattern length, frequency bucket).
 
         The bucket index is floor(buckets * f_p / f_max), with the upper
-        edge folded into the last bucket.
+        edge folded into the last bucket.  Keys come in ascending order.
         """
         if buckets < 1:
             raise ValueError(f"buckets must be >= 1, got {buckets}")
-        if not self._counts:
-            return {}
-        size = np.dtype(self._dtype).itemsize
         table: dict[tuple[int, int], int] = {}
-        for key, n in self._counts.items():
-            bucket = min(int(buckets * n / self.f_max), buckets - 1)
-            entry = (len(key) // size, bucket)
-            table[entry] = table.get(entry, 0) + 1
+        for windows, counts in self._tables:
+            # Buckets rise with f_p, so each distinct count is bucketed once.
+            values, tally = np.unique(counts, return_counts=True)
+            for n, k in zip(values.tolist(), tally.tolist()):
+                entry = (windows.shape[1], min(int(buckets * n / self.f_max), buckets - 1))
+                table[entry] = table.get(entry, 0) + k
         return table
 
 
@@ -161,22 +160,17 @@ def extract_patterns(log: EventLog, min_len: int = 2, max_len: int | None = None
     if max_len < min_len:
         raise ValueError(f"max_len {max_len} below min_len {min_len}")
 
-    n_symbols = len(log.alphabet)
-    dtype = np.dtype(np.uint8) if n_symbols <= 256 else np.dtype(np.uint16)
-    counts: dict[bytes, int] = {}
+    dtype = np.uint8 if len(log.alphabet) <= 256 else np.uint16
+    tables = []
     for m in range(min_len, min(max_len, longest) + 1):
         chunks = [
             np.lib.stride_tricks.sliding_window_view(codes, m)
             for codes in log.trace_codes
             if codes.size >= m
         ]
-        if not chunks:
-            continue
-        windows = np.ascontiguousarray(np.vstack(chunks).astype(dtype))
-        unique, freq = np.unique(windows, axis=0, return_counts=True)
-        for row, n in zip(unique, freq):
-            counts[row.tobytes()] = int(n)
-    return PatternCensus(log.alphabet, counts, dtype, min_len, max_len)
+        if chunks:
+            tables.append(np.unique(np.vstack(chunks).astype(dtype), axis=0, return_counts=True))
+    return PatternCensus(log.alphabet, tables, min_len, max_len)
 
 
 def ref_free_sps(alignment: Alignment, scheme: ScoringScheme = DEFAULT_SCHEME) -> float:
@@ -336,8 +330,9 @@ def most_frequent_pattern(census: PatternCensus) -> Pattern:
     """Highest-count pattern; ties go to the shortest, then lexicographic."""
     if not census:
         raise ValueError("pattern census is empty")
-    top = [census._decode(key) for key, n in census._counts.items() if n == census.f_max]
-    return min(top, key=lambda pattern: (len(pattern), pattern))
+    # Lengths come in ascending order and windows in code order, which is
+    # label order because the alphabet is sorted.
+    return census.eligible(census.f_max - 1)[0][0]
 
 
 def information_score(histogram: Mapping[str, SymbolCount], n_types: int) -> float:

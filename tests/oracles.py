@@ -11,10 +11,13 @@ in plain Python, straight from the ``misalignment_score`` docstring, and
 the profile-fill oracle is a frozen full-table copy of the profile DP.
 The reference-metric oracles compare sets of occurrence ids, as the
 docstrings of ``ref_based_sps``, ``column_score`` and
-``count_heuristic_errors`` define them.
+``count_heuristic_errors`` define them.  The guide-tree oracle is a
+frozen copy of the pairwise-loop agglomeration, and the census oracle
+counts tuple windows in a ``Counter``.
 """
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -233,3 +236,57 @@ def heuristic_errors_oracle(a, ref):
 
     mine, theirs = partners(a), partners(ref)
     return sum(mine[occ] != theirs[occ] for occ in mine)
+
+
+def guide_tree_oracle(distances):
+    """Average-linkage merge tree as nested ``(left, right, distance)`` tuples.
+
+    A frozen copy of the agglomeration loop the guide tree replaced:
+    each step scans every pair of active clusters for the smallest
+    ``(distance, min leaf, min leaf)`` key, the cluster with the smaller
+    minimum leaf goes left and keeps its slot, and the Lance-Williams
+    update averages the distances one cluster at a time.  Leaves are
+    trace indices.
+    """
+    dist = np.array(distances, dtype=np.float64)
+    n = dist.shape[0]
+    trees = list(range(n))
+    sizes = [1] * n
+    min_leaf = list(range(n))
+    active = list(range(n))
+    while len(active) > 1:
+        best_key = best_pair = None
+        for ai in range(len(active)):
+            for aj in range(ai + 1, len(active)):
+                ci, cj = active[ai], active[aj]
+                left, right = sorted((min_leaf[ci], min_leaf[cj]))
+                key = (dist[ci, cj], left, right)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_pair = (ci, cj)
+        ci, cj = best_pair
+        if min_leaf[cj] < min_leaf[ci]:
+            ci, cj = cj, ci
+        merged = (trees[ci], trees[cj], float(dist[ci, cj]))
+        wi, wj = sizes[ci], sizes[cj]
+        for ck in active:
+            if ck in (ci, cj):
+                continue
+            dist[ci, ck] = dist[ck, ci] = (wi * dist[ci, ck] + wj * dist[cj, ck]) / (wi + wj)
+        trees[ci] = merged
+        sizes[ci] = wi + wj
+        min_leaf[ci] = min(min_leaf[ci], min_leaf[cj])
+        active.remove(cj)
+    return trees[active[0]]
+
+
+def census_oracle(log, min_len=2, max_len=None):
+    """Log-wide counts of every activity window, keyed by label tuple."""
+    counts = Counter()
+    for trace in log.traces:
+        labels = tuple(trace.activities)
+        top = len(labels) if max_len is None else min(max_len, len(labels))
+        for m in range(min_len, top + 1):
+            for s in range(len(labels) - m + 1):
+                counts[labels[s : s + m]] += 1
+    return counts

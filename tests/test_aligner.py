@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_log
-from oracles import brute_force_best_score, enumerate_alignment_scores
+from oracles import brute_force_best_score, enumerate_alignment_scores, guide_tree_oracle
 from tracealign import (
     Alignment,
     EventLog,
@@ -13,8 +13,11 @@ from tracealign import (
     align_profiles,
     alignment_complexity,
     build_guide_tree,
+    bundled_model_names,
     consensus_reference,
     distance_matrix,
+    generate_log,
+    load_bundled_model,
     pairwise_align,
     progressive_align,
     ref_free_sps,
@@ -130,6 +133,13 @@ class TestDistanceMatrix:
             distance_matrix(EventLog([trace("x", "A")]))
 
 
+def tree_tuples(tree: GuideTree):
+    """A guide tree as the oracle's nested ``(left, right, distance)`` tuples."""
+    if tree.is_leaf:
+        return tree.index
+    return (tree_tuples(tree.left), tree_tuples(tree.right), tree.distance)
+
+
 class TestGuideTree:
     def test_two_leaves(self):
         t = build_guide_tree(np.array([[0.0, 0.5], [0.5, 0.0]]))
@@ -160,6 +170,25 @@ class TestGuideTree:
         assert t.right.leaves() == [3]
         assert t.left.right.leaves() == [2]
         assert t.left.left.leaves() == [0, 1]
+
+    def test_matches_oracle_on_tie_heavy_matrices(self):
+        # Three distance values tie almost every step, before and after
+        # the averaging updates.
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            n = int(rng.integers(2, 16))
+            upper = np.triu(rng.choice([0.0, 0.5, 1.0], size=(n, n)), 1)
+            d = upper + upper.T
+            assert tree_tuples(build_guide_tree(d)) == guide_tree_oracle(d)
+
+    @pytest.mark.parametrize("model", bundled_model_names())
+    def test_matches_oracle_on_model_distances(self, model):
+        # Repeated variants put many exact ties at 0; the noisy copy is
+        # the kind of matrix consensus_reference builds its candidates from.
+        d = distance_matrix(generate_log(load_bundled_model(model), 30, seed=3))
+        noise = np.triu(np.random.default_rng(7).uniform(0.9, 1.1, d.shape), 1)
+        for matrix in (d, d * (noise + noise.T)):
+            assert tree_tuples(build_guide_tree(matrix)) == guide_tree_oracle(matrix)
 
     def test_rejects_malformed_matrices(self):
         with pytest.raises(ValueError):

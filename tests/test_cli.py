@@ -153,7 +153,35 @@ class TestGenLog:
         assert missing in captured.err
 
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"format": "tracealign-model", "version": 1, "model": '
+            + '{"kind": "sequence", "children": [' * 3000
+            + '{"kind": "activity", "label": "a"}'
+            + "]}" * 3000
+            + "}",
+            "[" * 3000 + "]" * 3000,
+        ],
+        ids=["nested-blocks", "bare-lists"],
+    )
+    def test_deep_nesting_is_single_line(self, tmp_path, capsys, document):
+        deep = tmp_path / "deep.json"
+        deep.write_text(document)
+        code = main(["gen-log", str(deep), "-n", "3", "-o", str(tmp_path / "x.log")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"tracealign: error: {deep}:1:1: model nests too deeply to read\n"
+        assert not (tmp_path / "x.log").exists()
+
+
 class TestCorrelate:
+    def test_negative_max_moves_is_single_line(self, log_path, capsys):
+        code = main(["correlate", str(log_path), "--samples", "10", "--max-moves", "-4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "tracealign: error: max_moves must be >= 0, got -4\n"
+
     def test_emits_table_and_report(self, log_path, tmp_path, capsys):
         csv_path = tmp_path / "samples.csv"
         report_path = tmp_path / "report.json"

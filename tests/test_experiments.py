@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_log
+from tracealign import experiments
 from tracealign import (
     ActivityBlock,
     Alignment,
@@ -245,6 +246,32 @@ class TestCorrelationExperiment:
     def test_requires_ten_samples(self, small_log):
         with pytest.raises(ValueError):
             correlation_experiment(small_log, samples=5)
+
+
+def _sweep(log, **kwargs):
+    return tf_ratio_sweep(log, (0.4,), **kwargs)
+
+
+@pytest.mark.parametrize("study", [correlation_experiment, _sweep])
+class TestStudyParameters:
+    """Both studies reject bad parameters, naming them, before any alignment."""
+
+    @pytest.fixture(autouse=True)
+    def no_reference(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("consensus_reference ran before the parameters were checked")
+
+        monkeypatch.setattr(experiments, "consensus_reference", fail)
+
+    @pytest.mark.parametrize("samples", [3, 9, 0, -2])
+    def test_rejects_fewer_than_ten_samples(self, study, small_log, samples):
+        with pytest.raises(ValueError, match=f"^samples must be >= 10, got {samples}$"):
+            study(small_log, samples=samples, max_moves=5)
+
+    @pytest.mark.parametrize("max_moves", [-1, -30])
+    def test_rejects_negative_max_moves(self, study, small_log, max_moves):
+        with pytest.raises(ValueError, match=f"^max_moves must be >= 0, got {max_moves}$"):
+            study(small_log, samples=10, max_moves=max_moves)
 
 
 class TestTfRatioSweep:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_log
-from oracles import column_score_oracle, heuristic_errors_oracle, ref_based_sps_oracle
+from oracles import (
+    census_oracle,
+    column_score_oracle,
+    heuristic_errors_oracle,
+    ref_based_sps_oracle,
+)
 from tracealign import (
     Alignment,
     DegenerateReferenceError,
@@ -220,6 +226,56 @@ class TestExtractPatterns:
         with pytest.raises(ValueError):
             extract_patterns(log, min_len=3, max_len=2)
 
+    @staticmethod
+    def assert_matches_oracle(log, min_len=2, max_len=None):
+        census = extract_patterns(log, min_len, max_len)
+        expected = census_oracle(log, min_len, max_len)
+        # The alphabet is sorted, so window order is label order.
+        order = sorted(expected, key=lambda pattern: (len(pattern), pattern))
+        f_max = max(expected.values(), default=0)
+        assert list(census.items()) == [(p, expected[p]) for p in order]
+        assert all(type(n) is int for _, n in census.items())
+        assert (len(census), bool(census), census.f_max) == (len(expected), bool(expected), f_max)
+        for ratio in (0.2, 0.4, 1.0):
+            threshold = ratio * f_max
+            assert census.eligible(threshold) == [
+                (p, expected[p]) for p in order if expected[p] > threshold
+            ]
+        for buckets in (1, 3, 10):
+            assert census.length_frequency_table(buckets) == dict(
+                Counter((len(p), min(int(buckets * n / f_max), buckets - 1))
+                        for p, n in expected.items())
+            )
+        assert all(census.count(p) == n for p, n in expected.items())
+        assert census.count(("a", "zz")) == 0 and census.count(order[0] * 9 if order else ()) == 0
+        if expected:
+            assert most_frequent_pattern(census) == min(
+                (p for p in order if expected[p] == f_max), key=lambda p: (len(p), p)
+            )
+
+    def test_matches_census_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            log = random_log(
+                rng,
+                n_traces=int(rng.integers(1, 6)),
+                min_len=2,
+                max_len=10,
+                alphabet=("a", "b", "c")[: int(rng.integers(1, 4))],
+            )
+            for bounds in ((2, None), (3, 5), (4, 4)):
+                self.assert_matches_oracle(log, *bounds)
+
+    def test_matches_census_oracle_above_256_types(self):
+        # More than 256 types switch the packed codes to uint16.
+        rng = np.random.default_rng(24)
+        labels = [f"x{i:03d}" for i in range(300)]
+        log = EventLog(
+            [Trace(f"t{i}", [labels[k] for k in rng.integers(0, 300, size=400)]) for i in range(3)]
+            + [Trace("t3", labels[:50] * 2)]
+        )
+        self.assert_matches_oracle(log, 2, 4)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.sampled_from("ab"), min_size=2, max_size=12))
     def test_extension_never_more_frequent(self, symbols):
@@ -326,10 +382,10 @@ class TestOverallMisalignmentScore:
     def test_empty_census_rejected(self):
         log = make_log(("t0", "ab"), ("t1", "ab"))
         a = progressive_align(log)
-        census = extract_patterns(make_log(("t0", "ab")), max_len=2)
-        census._counts.clear()  # simulate a census with nothing countable
-        census.f_max = 0
-        with pytest.raises(ValueError):
+        # No trace is long enough for a window of length 3 or 4.
+        census = extract_patterns(log, min_len=3, max_len=4)
+        assert (len(census), bool(census), census.f_max) == (0, False, 0)
+        with pytest.raises(ValueError, match="census is empty"):
             overall_misalignment_score(a, census)
 
 
