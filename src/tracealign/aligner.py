@@ -205,6 +205,9 @@ def build_guide_tree(distances: np.ndarray) -> GuideTree:
     return trees[int(active[0])]
 
 
+_SCORE_BLOCK_CELLS = 1 << 16
+
+
 def _column_pair_scores(p1: Profile, p2: Profile, scheme: ScoringScheme):
     """Expected pairwise score of every column pair, plus the cost of
     aligning each column against a fresh gap column."""
@@ -214,18 +217,25 @@ def _column_pair_scores(p1: Profile, p2: Profile, scheme: ScoringScheme):
     b = f2[:, 1:]
     occ1 = a.sum(axis=1)
     occ2 = b.sum(axis=1)
-    # match * same + mismatch * (cross - same) + gap * gap_faces, built
-    # in place: the same float64 operations, three (L1, L2) buffers.
-    same = a @ b.T
-    s = np.outer(occ1, occ2)
-    s -= same
-    s *= scheme.mismatch
-    same *= scheme.match
-    s += same
-    gap_faces = np.outer(f1[:, 0], occ2, out=same)
-    gap_faces += np.outer(occ1, f2[:, 0])
-    gap_faces *= scheme.gap
-    s += gap_faces
+    # match * same + mismatch * (cross - same) + gap * gap_faces, written
+    # over ``same`` one block of rows at a time: the same float64
+    # operations per cell, but one (L1, L2) buffer, so the peak memory of
+    # a merge no longer triples with its size.
+    s = a @ b.T
+    step = max(1, _SCORE_BLOCK_CELLS // max(1, s.shape[1]))
+    for lo in range(0, s.shape[0], step):
+        rows = slice(lo, lo + step)
+        same = s[rows]
+        block = np.outer(occ1[rows], occ2)
+        block -= same
+        block *= scheme.mismatch
+        same *= scheme.match
+        block += same
+        gap_faces = np.outer(f1[rows, 0], occ2)
+        gap_faces += np.outer(occ1[rows], f2[:, 0])
+        gap_faces *= scheme.gap
+        block += gap_faces
+        same[...] = block
     return s, scheme.gap * occ1, scheme.gap * occ2
 
 

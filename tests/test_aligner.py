@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_log
 from oracles import brute_force_best_score, enumerate_alignment_scores, guide_tree_oracle
+from tracealign import aligner as aligner_module
 from tracealign import (
     Alignment,
     EventLog,
@@ -212,6 +213,31 @@ class TestAlignProfiles:
             assert np.array_equal(merged.grid, pair_alignment.grid)
             two_row = Alignment(log, merged.grid)
             assert ref_free_sps(two_row, scheme) == pytest.approx(pair_score)
+
+    @pytest.mark.parametrize("block_cells", [1, 7, 1 << 16])
+    def test_blocked_pair_scores_equal_whole_matrix_formula(self, monkeypatch, block_cells):
+        # The scores are written one block of rows at a time; every cell
+        # must carry the bits of the whole-matrix expression.
+        monkeypatch.setattr(aligner_module, "_SCORE_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(21)
+        scheme = ScoringScheme(2.0, -0.5, -1.25)
+        for _ in range(10):
+            log = random_log(rng, n_traces=6, min_len=3, max_len=12)
+            p1 = align_profiles(Profile.singleton(log, 0), Profile.singleton(log, 1), scheme)
+            p2 = align_profiles(
+                align_profiles(Profile.singleton(log, 2), Profile.singleton(log, 3), scheme),
+                Profile.singleton(log, 4), scheme,
+            )
+            f1, f2 = p1.frequencies, p2.frequencies
+            occ1, occ2 = f1[:, 1:].sum(axis=1), f2[:, 1:].sum(axis=1)
+            same = f1[:, 1:] @ f2[:, 1:].T
+            gap_faces = (np.outer(f1[:, 0], occ2) + np.outer(occ1, f2[:, 0])) * scheme.gap
+            expected = (np.outer(occ1, occ2) - same) * scheme.mismatch + same * scheme.match
+            expected += gap_faces
+            s, ga, gb = aligner_module._column_pair_scores(p1, p2, scheme)
+            assert np.array_equal(s, expected)
+            assert np.array_equal(ga, scheme.gap * occ1)
+            assert np.array_equal(gb, scheme.gap * occ2)
 
     def test_identical_gapless_profiles_add_no_gaps(self):
         log = EventLog([trace("x", "ABC"), trace("y", "ABC")])
