@@ -10,9 +10,10 @@ row a faithful gap-padded copy of its original trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +43,9 @@ class ScoringScheme:
     gap: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("match", "mismatch", "gap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} score must be finite, got {getattr(self, name)}")
         if not self.match > self.mismatch:
             raise ValueError(
                 f"degenerate scheme: match ({self.match}) must exceed mismatch ({self.mismatch})"
@@ -75,9 +79,25 @@ class GuideTree:
 
     def leaves(self) -> list[int]:
         """Leaf trace indices in left-to-right order."""
-        if self.is_leaf:
-            return [self.index]
-        return self.left.leaves() + self.right.leaves()
+        return [node.index for node in _postorder(self) if node.is_leaf]
+
+
+def _postorder(tree: GuideTree) -> Iterator[GuideTree]:
+    """Every node of ``tree``: left subtree, right subtree, then the node.
+
+    Iterative, so a chain as deep as the log is long (identical traces
+    join one at a time) walks without recursion.  The node-right-left
+    preorder, reversed, is exactly the post-order.
+    """
+    order: list[GuideTree] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if not node.is_leaf:
+            stack.append(node.left)
+            stack.append(node.right)
+    return reversed(order)
 
 
 class Profile:
@@ -275,7 +295,7 @@ def _profile_to_alignment(profile: Profile) -> Alignment:
     grid = np.full((len(profile.source), profile.length), -1, dtype=np.int64)
     for row, member in enumerate(profile.members):
         grid[member] = profile.grid[row]
-    return Alignment(profile.source, _drop_all_gap_columns(grid))
+    return Alignment(profile.source, grid)
 
 
 def progressive_align(
@@ -292,18 +312,11 @@ def progressive_align(
     if leaves != list(range(len(log))):
         raise ValueError(f"guide tree leaves {leaves} do not cover 0..{len(log) - 1}")
 
-    # Iterative post-order fold; recursion would overflow on degenerate
-    # (caterpillar) trees over large logs.
-    stack: list[tuple[GuideTree, bool]] = [(tree, False)]
+    # In post-order both children's profiles are the top two pending.
     pending: list[Profile] = []
-    while stack:
-        node, expanded = stack.pop()
+    for node in _postorder(tree):
         if node.is_leaf:
             pending.append(Profile.singleton(log, node.index))
-        elif not expanded:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
         else:
             right = pending.pop()
             left = pending.pop()

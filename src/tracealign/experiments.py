@@ -171,7 +171,7 @@ def _validate_block(block: Block) -> None:
             raise ModelSpecError("choice block needs children")
         if any(p < 0 for p in block.probabilities):
             raise ModelSpecError("choice probabilities must be non-negative")
-        if abs(sum(block.probabilities) - 1.0) > 1e-9:
+        if not abs(sum(block.probabilities) - 1.0) <= 1e-9:  # NaN fails too
             raise ModelSpecError(f"choice probabilities sum to {sum(block.probabilities)!r}, not 1")
         for child in block.children:
             _validate_block(child)
@@ -252,6 +252,8 @@ def _number(value: object, where: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ModelSpecError(f"{where} needs a number, got {value!r}") from None
+    except OverflowError:
+        raise ModelSpecError(f"{where} number is out of float range") from None
 
 
 def _children(data: dict, where: str) -> tuple[Block, ...]:

@@ -11,6 +11,7 @@ with explicit version fields.
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import IO
@@ -43,6 +44,22 @@ def _check_version(path: object, line_no: int, line: str, magic: str) -> None:
         )
 
 
+def _open_text(path: str | Path) -> io.StringIO:
+    """The file's UTF-8 text, read as ``open`` reads it (universal newlines).
+
+    Undecodable bytes are a :class:`FileFormatError` at their line and
+    column, not a ``UnicodeDecodeError`` without a path.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        head = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read()
+        line = head.count("\n") + 1
+        column = len(head) - head.rfind("\n")
+        raise FileFormatError(path, line, column, f"not UTF-8 text ({exc.reason})") from None
+
+
 # ---------------------------------------------------------------------------
 # Event logs.
 
@@ -62,7 +79,7 @@ def write_log(log: EventLog, path: str | Path) -> None:
 def read_log(path: str | Path) -> EventLog:
     traces: list[Trace] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if line.startswith(LOG_MAGIC):
@@ -110,8 +127,7 @@ def write_alignment(alignment: Alignment, path: str | Path) -> None:
         fh.write(f"{ALIGNMENT_MAGIC} {FORMAT_VERSION}\n")
         fh.write(f"#L={alignment.length}\n")
         for i, trace in enumerate(alignment.source.traces):
-            cells = [alignment.label_at(i, j) for j in range(alignment.length)]
-            fh.write(trace.case_id + "\t" + "\t".join(cells) + "\n")
+            fh.write(trace.case_id + "\t" + "\t".join(alignment.row_labels(i)) + "\n")
 
 
 def read_alignment(path: str | Path) -> Alignment:
@@ -120,7 +136,7 @@ def read_alignment(path: str | Path) -> Alignment:
     case_ids: list[str] = []
     rows: list[list[str]] = []
     row_lines: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if line.startswith(ALIGNMENT_MAGIC):
@@ -175,13 +191,15 @@ def write_model(spec: ProcessModelSpec, path: str | Path) -> None:
 
 
 def read_model(path: str | Path) -> ProcessModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return ProcessModelSpec.from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(path, exc.lineno, exc.colno, exc.msg) from None
-        except RecursionError:
-            raise FileFormatError(path, 1, 1, "model nests too deeply to read") from None
+    text = _open_text(path).read()
+    try:
+        return ProcessModelSpec.from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(path, exc.lineno, exc.colno, exc.msg) from None
+    except ValueError as exc:  # e.g. an integer past Python's digit limit
+        raise FileFormatError(path, 1, 1, str(exc)) from None
+    except RecursionError:
+        raise FileFormatError(path, 1, 1, "model nests too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,8 @@ def extract_patterns(log: EventLog, min_len: int = 2, max_len: int | None = None
         raise ValueError(f"min_len must be >= 2, got {min_len}")
     longest = log.max_trace_length
     if max_len is None:
-        max_len = longest
+        # One-activity traces leave the default census empty, not invalid.
+        max_len = max(longest, min_len)
     if max_len < min_len:
         raise ValueError(f"max_len {max_len} below min_len {min_len}")
 

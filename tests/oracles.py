@@ -13,7 +13,9 @@ The reference-metric oracles compare sets of occurrence ids, as the
 docstrings of ``ref_based_sps``, ``column_score`` and
 ``count_heuristic_errors`` define them.  The guide-tree oracle is a
 frozen copy of the pairwise-loop agglomeration, and the census oracle
-counts tuple windows in a ``Counter``.
+counts tuple windows in a ``Counter``.  The guide-tree walk oracles
+recurse over the tree: one lists its leaves, the other folds a merge
+function bottom-up.
 """
 
 import itertools
@@ -290,3 +292,21 @@ def census_oracle(log, min_len=2, max_len=None):
             for s in range(len(labels) - m + 1):
                 counts[labels[s : s + m]] += 1
     return counts
+
+
+def guide_tree_leaves_oracle(tree):
+    """Leaf indices of a guide tree, left to right, by plain recursion."""
+    if tree.is_leaf:
+        return [tree.index]
+    return guide_tree_leaves_oracle(tree.left) + guide_tree_leaves_oracle(tree.right)
+
+
+def guide_tree_fold_oracle(tree, leaf, merge):
+    """``leaf(index)`` at each leaf and ``merge(left, right)`` at each join,
+    folded bottom-up by plain recursion."""
+    if tree.is_leaf:
+        return leaf(tree.index)
+    return merge(
+        guide_tree_fold_oracle(tree.left, leaf, merge),
+        guide_tree_fold_oracle(tree.right, leaf, merge),
+    )

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_log
-from oracles import brute_force_best_score, enumerate_alignment_scores, guide_tree_oracle
+from oracles import (
+    brute_force_best_score,
+    enumerate_alignment_scores,
+    guide_tree_fold_oracle,
+    guide_tree_leaves_oracle,
+    guide_tree_oracle,
+)
 from tracealign import aligner as aligner_module
 from tracealign import (
     Alignment,
@@ -56,6 +62,13 @@ class TestScoringScheme:
     def test_match_must_beat_mismatch(self):
         with pytest.raises(ValueError, match="degenerate"):
             ScoringScheme(match=0.0, mismatch=0.0)
+
+    @pytest.mark.parametrize("field", ["match", "mismatch", "gap"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_scores_must_be_finite(self, field, value):
+        scores = {"match": 1.0, "mismatch": -1.0, "gap": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} score must be finite, got {value}$"):
+            ScoringScheme(**scores)
 
 
 class TestPairwiseAlign:
@@ -139,6 +152,61 @@ def tree_tuples(tree: GuideTree):
     if tree.is_leaf:
         return tree.index
     return (tree_tuples(tree.left), tree_tuples(tree.right), tree.distance)
+
+
+def random_tree(rng: np.random.Generator, n: int) -> GuideTree:
+    """A guide tree of any shape over leaves 0..n-1 in any order."""
+    nodes = [GuideTree.leaf(int(i)) for i in rng.permutation(n)]
+    while len(nodes) > 1:
+        i, j = (int(k) for k in rng.choice(len(nodes), size=2, replace=False))
+        joined = GuideTree.join(nodes[i], nodes[j], float(rng.random()))
+        nodes = [node for k, node in enumerate(nodes) if k not in (i, j)] + [joined]
+    return nodes[0]
+
+
+def chain_log_and_tree(n: int) -> tuple[EventLog, GuideTree]:
+    """``n`` identical traces and the chain their tree becomes: each joins at
+    distance 0 on the right, so the tree is ``n - 1`` levels deep."""
+    log = EventLog([trace(f"c{i}", "ab") for i in range(n)])
+    tree = GuideTree.leaf(0)
+    for i in range(1, n):
+        tree = GuideTree.join(tree, GuideTree.leaf(i), 0.0)
+    return log, tree
+
+
+class TestGuideTreeWalk:
+    def test_leaves_match_recursive_oracle_on_random_trees(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            tree = random_tree(rng, int(rng.integers(1, 13)))
+            assert tree.leaves() == guide_tree_leaves_oracle(tree)
+
+    def test_progressive_align_matches_recursive_fold_on_random_trees(self):
+        rng = np.random.default_rng(31)
+        scheme = ScoringScheme(2.0, -1.0, -0.5)
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            log = random_log(rng, n_traces=n, min_len=1, max_len=6)
+            tree = random_tree(rng, n)
+            root = guide_tree_fold_oracle(
+                tree,
+                lambda i: Profile.singleton(log, i),
+                lambda left, right: align_profiles(left, right, scheme),
+            )
+            expected = np.full((n, root.length), -1)
+            expected[list(root.members)] = root.grid
+            assert np.array_equal(progressive_align(log, scheme, tree).grid, expected)
+
+    def test_chain_deeper_than_recursion_limit(self):
+        log, tree = chain_log_and_tree(2000)
+        assert tree.leaves() == list(range(2000))
+        a = progressive_align(log, tree=tree)
+        assert a.length == 2
+        assert (a.grid == [0, 1]).all()
+
+    def test_identical_traces_build_a_chain(self):
+        log, chain = chain_log_and_tree(40)
+        assert build_guide_tree(distance_matrix(log)) == chain
 
 
 class TestGuideTree:

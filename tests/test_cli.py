@@ -22,6 +22,20 @@ def log_path(tmp_path, model_path):
 
 
 @pytest.fixture
+def one_activity_log_path(tmp_path):
+    """Two traces of one activity each: no pattern has two activities."""
+    path = tmp_path / "single.log"
+    path.write_text("c1\ta\nc2\tb\n")
+    return path
+
+
+def assert_single_line_error(code, captured, message):
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"tracealign: error: {message}\n"
+
+
+@pytest.fixture
 def alignment_path(tmp_path, log_path):
     path = tmp_path / "sample.aln"
     assert main(["align", str(log_path), "-o", str(path)]) == 0
@@ -45,6 +59,28 @@ class TestAlign:
         code = main(["align", str(bad), "-o", str(tmp_path / "out.aln")])
         assert code == 1
         assert "reserved" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gap", "nan"], "gap score must be finite, got nan"),
+            (["--match", "inf", "--mismatch", "0"], "match score must be finite, got inf"),
+            (["--mismatch=-inf"], "mismatch score must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_score_is_single_line(self, log_path, tmp_path, capsys, flags, message):
+        out = tmp_path / "out.aln"
+        code = main(["align", str(log_path), "-o", str(out), *flags])
+        assert_single_line_error(code, capsys.readouterr(), message)
+        assert not out.exists()
+
+    def test_undecodable_log_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.log"
+        bad.write_bytes(b"c1\ta,b\nc2\ta,\xff\n")
+        code = main(["align", str(bad), "-o", str(tmp_path / "out.aln")])
+        assert_single_line_error(
+            code, capsys.readouterr(), f"{bad}:2:6: not UTF-8 text (invalid start byte)"
+        )
 
 
 class TestEvaluate:
@@ -75,6 +111,17 @@ class TestEvaluate:
         assert captured.err.startswith("tracealign: error:")
         assert captured.err.count("\n") == 1
 
+    def test_non_finite_gap_writes_no_report(self, alignment_path, capsys):
+        code = main(["evaluate", str(alignment_path), "--gap", "nan", "-f", "json"])
+        assert_single_line_error(code, capsys.readouterr(), "gap score must be finite, got nan")
+
+    def test_one_activity_log_has_empty_census(self, one_activity_log_path, tmp_path, capsys):
+        aln = tmp_path / "single.aln"
+        assert main(["align", str(one_activity_log_path), "-o", str(aln)]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", str(aln)])
+        assert_single_line_error(code, capsys.readouterr(), "pattern census is empty")
+
 
 class TestPatterns:
     def test_csv_table(self, log_path, capsys):
@@ -97,6 +144,21 @@ class TestPatterns:
         assert captured.out == ""
         assert captured.err.startswith("tracealign: error: buckets must be >= 1")
         assert captured.err.count("\n") == 1
+
+    def test_one_activity_log_gives_empty_table(self, one_activity_log_path, capsys):
+        assert main(["patterns", str(one_activity_log_path)]) == 0
+        assert capsys.readouterr().out == (
+            "pattern census: 0 patterns, f_max=0\n" "length  freq bucket  patterns\n"
+        )
+        assert main(["patterns", str(one_activity_log_path), "-f", "csv"]) == 0
+        assert capsys.readouterr().out == "length,bucket_low_pct,bucket_high_pct,patterns\n"
+        assert main(["patterns", str(one_activity_log_path), "-f", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["bounds"], data["f_max"], data["table"]) == ([2, 2], 0, [])
+
+    def test_explicit_max_len_below_min_len_is_single_line(self, one_activity_log_path, capsys):
+        code = main(["patterns", str(one_activity_log_path), "--max-len", "1"])
+        assert_single_line_error(code, capsys.readouterr(), "max_len 1 below min_len 2")
 
 
 class TestPerturbCommand:
@@ -174,8 +236,26 @@ class TestGenLog:
         assert captured.err == f"tracealign: error: {deep}:1:1: model nests too deeply to read\n"
         assert not (tmp_path / "x.log").exists()
 
+    def test_probability_beyond_float_range_is_single_line(self, tmp_path, capsys):
+        model = tmp_path / "big.json"
+        model.write_text(
+            '{"format": "tracealign-model", "version": 1, "model": {"kind": "choice", '
+            '"children": [{"kind": "activity", "label": "a"}], "probabilities": [1'
+            + "0" * 400 + "]}}"
+        )
+        code = main(["gen-log", str(model), "-n", "3", "-o", str(tmp_path / "x.log")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "tracealign: error: choice block number is out of float range\n"
+
 
 class TestCorrelate:
+    def test_one_activity_log_has_empty_census(self, one_activity_log_path, capsys):
+        code = main(["correlate", str(one_activity_log_path), "--samples", "10", "-k", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "tracealign: error: pattern census is empty\n"
+
     def test_negative_max_moves_is_single_line(self, log_path, capsys):
         code = main(["correlate", str(log_path), "--samples", "10", "--max-moves", "-4"])
         captured = capsys.readouterr()

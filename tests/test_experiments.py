@@ -167,6 +167,12 @@ class TestModelSpec:
                 "bad", ChoiceBlock((ActivityBlock("a"), ActivityBlock("b")), (0.5, 0.4))
             )
 
+    def test_nan_choice_probability_rejected(self):
+        with pytest.raises(ModelSpecError, match="sum to nan"):
+            ProcessModelSpec(
+                "bad", ChoiceBlock((ActivityBlock("a"), ActivityBlock("b")), (float("nan"), 1.0))
+            )
+
     def test_loop_probability_below_one(self):
         with pytest.raises(ModelSpecError):
             ProcessModelSpec("bad", LoopBlock(ActivityBlock("a"), 1.0))

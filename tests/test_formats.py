@@ -161,6 +161,23 @@ class TestModelFormat:
         with pytest.raises(FileFormatError):
             read_model(path)
 
+    def test_integer_past_digit_limit_is_a_format_error(self, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text('{"format": "tracealign-model", "version": 1' + "0" * 5000 + "}")
+        with pytest.raises(FileFormatError, match="digits"):
+            read_model(path)
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("reader", [read_log, read_alignment, read_model])
+    def test_undecodable_bytes_are_located(self, tmp_path, reader):
+        # Lines end as the reader splits them: "\r\n" is one line break.
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"c1\ta\r\nc2\tb,\xe9\n")
+        with pytest.raises(FileFormatError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:2:6: not UTF-8 text (invalid continuation byte)"
+
 
 class TestReportFormats:
     def test_json_and_human_agree(self, sample_log):

@@ -226,6 +226,15 @@ class TestExtractPatterns:
         with pytest.raises(ValueError):
             extract_patterns(log, min_len=3, max_len=2)
 
+    def test_default_bound_on_one_activity_traces_gives_empty_census(self):
+        log = make_log(("t0", "a"), ("t1", "b"))
+        census = extract_patterns(log)
+        assert not census
+        assert (census.min_len, census.max_len, census.f_max) == (2, 2, 0)
+        assert extract_patterns(log, min_len=4).max_len == 4
+        with pytest.raises(ValueError, match="max_len 1 below min_len 2"):
+            extract_patterns(log, max_len=1)
+
     @staticmethod
     def assert_matches_oracle(log, min_len=2, max_len=None):
         census = extract_patterns(log, min_len, max_len)
