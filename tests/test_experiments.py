@@ -16,8 +16,11 @@ from tracealign import (
     Trace,
     UndefinedCorrelationError,
     bundled_model_names,
+    consensus_reference,
     correlation_experiment,
     count_heuristic_errors,
+    evaluate_alignment,
+    extract_patterns,
     generate_log,
     load_bundled_model,
     pearson,
@@ -252,6 +255,39 @@ class TestCorrelationExperiment:
     def test_requires_ten_samples(self, small_log):
         with pytest.raises(ValueError):
             correlation_experiment(small_log, samples=5)
+
+    def test_unreachable_threshold_leaves_oms_undefined(self, small_log):
+        report = correlation_experiment(small_log, samples=10, max_moves=12, tf_ratio=1.0, seed=11, k=2)
+        assert all(p.metrics["oms"] is None for p in report.samples)
+        assert report.coefficients["oms"] is None
+        assert report.notes["oms"] == "metric undefined on some samples"
+        assert report.coefficients["ref_based_sps"] is not None
+
+    def test_reference_without_aligned_pairs_leaves_ref_based_sps_undefined(self):
+        # No two traces share an activity, so the consensus pairs nothing.
+        log = EventLog([Trace(f"t{i}", list(acts)) for i, acts in enumerate(("abc", "def", "ghi"))])
+        report = correlation_experiment(log, samples=10, max_moves=6, seed=2, k=2)
+        assert all(p.metrics["ref_based_sps"] is None for p in report.samples)
+        assert report.coefficients["ref_based_sps"] is None
+        assert report.notes["ref_based_sps"] == "metric undefined on some samples"
+        assert all(p.metrics["column_score"] is not None for p in report.samples)
+        assert report.coefficients["column_score"] is not None
+        assert "column_score" not in report.notes
+
+    @pytest.mark.parametrize("tf_ratio", [0.4, 0.2])
+    def test_sample_metrics_are_evaluate_alignment_values(self, small_log, tf_ratio):
+        samples, seed, k = 10, 11, 2
+        report = correlation_experiment(
+            small_log, samples=samples, max_moves=12, tf_ratio=tf_ratio, seed=seed, k=k
+        )
+        reference = consensus_reference(small_log, k=k, seed=seed)
+        census = extract_patterns(small_log)
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
+        for point, sample_seed in zip(report.samples, seeds):
+            sample = perturb(reference, point.moves, sample_seed).alignment
+            expected = evaluate_alignment(sample, reference, tf_ratio=tf_ratio, census=census)
+            assert point.metrics == expected.values()
+            assert point.n_e == expected.n_e
 
 
 def _sweep(log, **kwargs):

@@ -20,6 +20,7 @@ from tracealign import (
     EventLog,
     InvalidAlignmentError,
     Pattern,
+    PatternCensus,
     SourceMismatchError,
     ThresholdTooHighError,
     Trace,
@@ -601,6 +602,45 @@ class TestEvaluateAlignment:
         assert with_ref.ref_based_sps == 1.0
         assert with_ref.column_score == 1.0
         assert with_ref.n_e == 0
+
+    def test_errors_keep_their_precedence(self):
+        """Each step mends the error that wins; the next one in line then shows."""
+        log = make_log(("t0", "abc"), ("t1", "abc"))
+        valid = Alignment(log, [[0, 1, 2], [0, 1, 2]])
+        other = make_log(("u0", "ab"), ("u1", "ab"))
+        kwargs = {
+            "alignment": Alignment(log, [[0, 1, 2, -1], [0, 1, 2, -1]]),
+            "census": PatternCensus(log.alphabet, [], 2, 3),
+            "tf_ratio": 1.5,
+            "majority": 0.0,
+            # On another log, and invalid too.
+            "reference": Alignment(other, [[0, 1], [1, 0]]),
+        }
+        steps = [
+            ("alignment", valid, InvalidAlignmentError, "column 3 is all gaps"),
+            ("census", extract_patterns(log), ValueError, "pattern census is empty"),
+            ("tf_ratio", 1.0, ValueError, r"tf_ratio must be in \(0, 1\], got 1.5"),
+            ("tf_ratio", 0.4, ThresholdTooHighError, "no pattern occurs more than 2 times"),
+            ("majority", 0.5, ValueError, r"majority must be in \(0, 1\], got 0.0"),
+            (
+                "reference",
+                Alignment(log, [[0, 1, 2, -1, -1], [-1, -1, -1, 0, 1]]),
+                SourceMismatchError,
+                "do not share a source log",
+            ),
+            (
+                "reference",
+                Alignment(log, [[0, 1, 2, -1, -1, -1], [-1, -1, -1, 0, 1, 2]]),
+                InvalidAlignmentError,
+                "row 1 holds ordinals",
+            ),
+            ("reference", valid, DegenerateReferenceError, "no aligned pairs"),
+        ]
+        for name, mended, error, message in steps:
+            with pytest.raises(error, match=message):
+                evaluate_alignment(**kwargs)
+            kwargs[name] = mended
+        assert evaluate_alignment(**kwargs).n_e == 0
 
     def test_complexity_bounds_ordering(self):
         log = make_log(("t0", "abc"), ("t1", "abc"), ("t2", "ac"))
