@@ -21,6 +21,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
+
 #: Reserved gap symbol used in serialized alignments.
 GAP = "-"
 
@@ -272,6 +274,13 @@ class Alignment:
             row = self.grid[i]
             occupied = np.nonzero(row >= 0)[0]
             out[i, row[occupied]] = occupied
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def column_counts(self) -> np.ndarray:
+        """(L, K+1) per-column symbol counts; column 0 counts gaps."""
+        out = _kernels.column_counts(self.codes, len(self.source.alphabet))
         out.setflags(write=False)
         return out
 

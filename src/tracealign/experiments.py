@@ -29,20 +29,13 @@ from .core import (
 )
 from .metrics import (
     METRIC_ORDER,
-    Pattern,
     PatternCensus,
     _check_tf_ratio,
+    _metric_report,
     _weighted_misalignment,
-    alignment_complexity,
-    column_score,
     count_heuristic_errors,
     extract_patterns,
     misalignment_score,
-    most_frequent_pattern,
-    overall_information_score,
-    overall_misalignment_score,
-    ref_based_sps,
-    ref_free_sps,
 )
 
 __all__ = [
@@ -395,14 +388,14 @@ class CorrelationReport:
 
 def _labelled_samples(
     log: EventLog, scheme: ScoringScheme, samples: int, max_moves: int, seed: int, k: int
-) -> tuple[Alignment, PatternCensus, Iterator[tuple[int, Alignment, int]]]:
+) -> tuple[Alignment, PatternCensus, Iterator[tuple[int, Alignment]]]:
     """The reference, census and perturbed samples both correlation studies use.
 
     Returns the consensus reference, the log's pattern census and an
-    iterator over ``(moves, alignment, n_e)``: ``samples`` perturbations
-    of the reference with move counts spread evenly over [0, max_moves],
-    each from its own seed, labelled with its heuristic-error count.
-    ``samples`` and ``max_moves`` are checked before the reference is built.
+    iterator over ``(moves, alignment)``: ``samples`` perturbations of
+    the reference with move counts spread evenly over [0, max_moves],
+    each from its own seed.  ``samples`` and ``max_moves`` are checked
+    before the reference is built.
     """
     if samples < 10:
         raise ValueError(f"samples must be >= 10, got {samples}")
@@ -412,39 +405,10 @@ def _labelled_samples(
     census = extract_patterns(log)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
     moves = [int(round(v)) for v in np.linspace(0.0, max_moves, samples)]
-
-    def draw() -> Iterator[tuple[int, Alignment, int]]:
-        for n_moves, sample_seed in zip(moves, seeds):
-            alignment = perturb(reference, n_moves, sample_seed).alignment
-            yield n_moves, alignment, count_heuristic_errors(alignment, reference)
-
-    return reference, census, draw()
-
-
-def _sample_metrics(
-    alignment: Alignment,
-    reference: Alignment,
-    census: PatternCensus,
-    top: Pattern,
-    scheme: ScoringScheme,
-    tf_ratio: float,
-) -> dict[str, float | None]:
-    values: dict[str, float | None] = {
-        "ref_free_sps": ref_free_sps(alignment, scheme),
-        "ms_top": misalignment_score(alignment, top),
-        "ois": overall_information_score(alignment),
-        "complexity": alignment_complexity(alignment).value,
-    }
-    try:
-        values["ref_based_sps"] = ref_based_sps(alignment, reference)
-    except DegenerateReferenceError:
-        values["ref_based_sps"] = None
-    values["column_score"] = column_score(alignment, reference)
-    try:
-        values["oms"] = overall_misalignment_score(alignment, census, tf_ratio)
-    except ThresholdTooHighError:
-        values["oms"] = None
-    return values
+    draws = (
+        (n, perturb(reference, n, sample_seed).alignment) for n, sample_seed in zip(moves, seeds)
+    )
+    return reference, census, draws
 
 
 def correlation_experiment(
@@ -462,15 +426,20 @@ def correlation_experiment(
     move counts spread evenly over [0, max_moves] are generated from
     per-sample seeds, labeled with their heuristic-error count, and
     every metric's Pearson coefficient against that count is reported.
-    A metric whose correlation is undefined is reported with a note
-    instead of aborting the others.
+    A sample's metrics are :func:`~tracealign.metrics.evaluate_alignment`'s
+    report values, except that OMS and ``ref_based_sps`` are ``None``
+    where that function raises ``ThresholdTooHighError`` or
+    ``DegenerateReferenceError``.  A metric whose correlation is
+    undefined is reported with a note instead of aborting the others.
     """
     reference, census, draws = _labelled_samples(log, scheme, samples, max_moves, seed, k)
-    top = most_frequent_pattern(census)
+    undefined = (ThresholdTooHighError, DegenerateReferenceError)
     points: list[SamplePoint] = []
-    for idx, (moves, alignment, n_e) in enumerate(draws):
-        metrics = _sample_metrics(alignment, reference, census, top, scheme, tf_ratio)
-        points.append(SamplePoint(idx, moves, n_e, metrics))
+    for idx, (moves, alignment) in enumerate(draws):
+        report = _metric_report(
+            alignment, reference, scheme, tf_ratio, majority=0.5, census=census, undefined=undefined
+        )
+        points.append(SamplePoint(idx, moves, report.n_e, report.values()))
 
     coefficients: dict[str, float | None] = {}
     notes: dict[str, str] = {}
@@ -522,12 +491,12 @@ def tf_ratio_sweep(
         raise ValueError("need at least one tf ratio")
     for ratio in ratios:
         _check_tf_ratio(ratio)
-    _, census, draws = _labelled_samples(log, scheme, samples, max_moves, seed, k)
+    reference, census, draws = _labelled_samples(log, scheme, samples, max_moves, seed, k)
     widest = census.eligible(min(ratios) * census.f_max)
     n_e_values: list[int] = []
     scores = {pattern: np.empty(samples) for pattern, _ in widest}
-    for idx, (_, alignment, n_e) in enumerate(draws):
-        n_e_values.append(n_e)
+    for idx, (_, alignment) in enumerate(draws):
+        n_e_values.append(count_heuristic_errors(alignment, reference))
         for pattern, row in scores.items():
             row[idx] = misalignment_score(alignment, pattern)
 

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import IO
 
-from .core import GAP, Alignment, EventLog, Trace, TraceAlignError
+from .core import GAP, Alignment, EventLog, ModelSpecError, Trace, TraceAlignError
 from .experiments import CorrelationReport, ProcessModelSpec
 from .metrics import METRIC_ORDER, MetricReport
 
@@ -65,14 +65,12 @@ def _open_text(path: str | Path) -> io.StringIO:
 
 
 def write_log(log: EventLog, path: str | Path) -> None:
+    commas = [label for trace in log.traces for label in trace.activities if "," in label]
+    if commas:  # checked first, so a rejected log leaves no file behind
+        raise ValueError(f"label {commas[0]!r} contains a comma and cannot be serialized")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{LOG_MAGIC} {FORMAT_VERSION}\n")
         for trace in log.traces:
-            for label in trace.activities:
-                if "," in label:
-                    raise ValueError(
-                        f"label {label!r} contains a comma and cannot be serialized"
-                    )
             fh.write(f"{trace.case_id}\t{','.join(trace.activities)}\n")
 
 
@@ -196,6 +194,8 @@ def read_model(path: str | Path) -> ProcessModelSpec:
         return ProcessModelSpec.from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise FileFormatError(path, exc.lineno, exc.colno, exc.msg) from None
+    except ModelSpecError as exc:
+        raise ModelSpecError(f"{path}: {exc}") from None
     except ValueError as exc:  # e.g. an integer past Python's digit limit
         raise FileFormatError(path, 1, 1, str(exc)) from None
     except RecursionError:

@@ -181,7 +181,7 @@ def ref_free_sps(alignment: Alignment, scheme: ScoringScheme = DEFAULT_SCHEME) -
     result is integral.
     """
     require_valid(alignment)
-    counts = _kernels.column_counts(alignment.codes, len(alignment.source.alphabet))
+    counts = alignment.column_counts
     return _kernels.sps_from_counts(counts, scheme.match, scheme.mismatch, scheme.gap)
 
 
@@ -359,10 +359,8 @@ def overall_information_score(alignment: Alignment) -> float:
     Algebraically the mean of the per-column information scores.
     """
     require_valid(alignment)
-    n_types = len(alignment.source.alphabet)
-    counts = _kernels.column_counts(alignment.codes, n_types)
-    entropies = _kernels.entropy_per_column(counts)
-    e_max = np.log2(n_types + 1)
+    entropies = _kernels.entropy_per_column(alignment.column_counts)
+    e_max = np.log2(len(alignment.source.alphabet) + 1)
     return float(1.0 - entropies.sum() / (e_max * alignment.length))
 
 
@@ -409,7 +407,7 @@ def consensus_sequence(alignment: Alignment, majority: float = 0.5) -> list[Cons
     if alignment.length == 0:
         return []
     alphabet = alignment.source.alphabet
-    occupied = _kernels.column_counts(alignment.codes, len(alphabet))[:, 1:]
+    occupied = alignment.column_counts[:, 1:]
     best = occupied.max(axis=1)
     # argmax takes the lowest tied code, and the alphabet is sorted, so
     # it picks the lexicographically smallest label.
@@ -444,7 +442,7 @@ class MetricReport:
 
     ref_free_sps: float
     ms_top: float
-    oms: float
+    oms: float | None
     ois: float
     complexity: ComplexityResult
     consensus: list[ConsensusEntry]
@@ -484,6 +482,29 @@ def evaluate_alignment(
     log's full census and can be passed in when evaluating many
     alignments of the same log.
     """
+    return _metric_report(alignment, reference, scheme, tf_ratio, majority, census, undefined=())
+
+
+def _metric_report(
+    alignment: Alignment,
+    reference: Alignment | None,
+    scheme: ScoringScheme,
+    tf_ratio: float,
+    majority: float,
+    census: PatternCensus | None,
+    undefined: tuple[type[Exception], ...],
+) -> MetricReport:
+    """:func:`evaluate_alignment`'s body, reading the ``undefined`` errors as ``None``.
+
+    Only OMS and ``ref_based_sps`` can read as ``None``; ``()`` lets every error out.
+    """
+
+    def defined(metric: Callable[..., float], *args: object) -> float | None:
+        try:
+            return metric(*args)
+        except undefined:
+            return None
+
     require_valid(alignment)
     if census is None:
         census = extract_patterns(alignment.source)
@@ -491,7 +512,7 @@ def evaluate_alignment(
     report = MetricReport(
         ref_free_sps=ref_free_sps(alignment, scheme),
         ms_top=misalignment_score(alignment, top),
-        oms=overall_misalignment_score(alignment, census, tf_ratio),
+        oms=defined(overall_misalignment_score, alignment, census, tf_ratio),
         ois=overall_information_score(alignment),
         complexity=alignment_complexity(alignment),
         consensus=consensus_sequence(alignment, majority),
@@ -501,7 +522,7 @@ def evaluate_alignment(
         scheme=scheme,
     )
     if reference is not None:
-        report.ref_based_sps = ref_based_sps(alignment, reference)
+        report.ref_based_sps = defined(ref_based_sps, alignment, reference)
         report.column_score = column_score(alignment, reference)
         report.n_e = count_heuristic_errors(alignment, reference)
     return report

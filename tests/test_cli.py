@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from tracealign import load_bundled_model, strip_gaps
+from tracealign import (
+    ActivityBlock,
+    ProcessModelSpec,
+    SequenceBlock,
+    load_bundled_model,
+    strip_gaps,
+)
 from tracealign.cli import main
 from tracealign.formats import read_alignment, read_log, write_model
 
@@ -213,7 +219,7 @@ class TestGenLog:
         assert captured.err.startswith("tracealign: error:")
         assert captured.err.count("\n") == 1
         assert missing in captured.err
-
+        assert captured.err.startswith(f"tracealign: error: {bad}: ")
 
     @pytest.mark.parametrize(
         "document",
@@ -246,7 +252,21 @@ class TestGenLog:
         code = main(["gen-log", str(model), "-n", "3", "-o", str(tmp_path / "x.log")])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "tracealign: error: choice block number is out of float range\n"
+        assert captured.err == (
+            f"tracealign: error: {model}: choice block number is out of float range\n"
+        )
+
+    def test_comma_in_label_leaves_no_log(self, tmp_path, capsys):
+        model = tmp_path / "comma.json"
+        write_model(ProcessModelSpec("comma", SequenceBlock((ActivityBlock("a,b"),))), model)
+        out = tmp_path / "x.log"
+        code = main(["gen-log", str(model), "-n", "3", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "tracealign: error: label 'a,b' contains a comma and cannot be serialized\n"
+        )
+        assert not out.exists()
 
 
 class TestCorrelate:

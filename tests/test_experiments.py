@@ -257,7 +257,9 @@ class TestCorrelationExperiment:
             correlation_experiment(small_log, samples=5)
 
     def test_unreachable_threshold_leaves_oms_undefined(self, small_log):
-        report = correlation_experiment(small_log, samples=10, max_moves=12, tf_ratio=1.0, seed=11, k=2)
+        report = correlation_experiment(
+            small_log, samples=10, max_moves=12, tf_ratio=1.0, seed=11, k=2
+        )
         assert all(p.metrics["oms"] is None for p in report.samples)
         assert report.coefficients["oms"] is None
         assert report.notes["oms"] == "metric undefined on some samples"

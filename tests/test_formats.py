@@ -6,6 +6,7 @@ import pytest
 from conftest import random_log
 from tracealign import (
     EventLog,
+    ModelSpecError,
     Trace,
     evaluate_alignment,
     load_bundled_model,
@@ -88,6 +89,7 @@ class TestLogFormat:
         log = EventLog([Trace("c1", ["a,b"])])
         with pytest.raises(ValueError, match="comma"):
             write_log(log, tmp_path / "bad.log")
+        assert not (tmp_path / "bad.log").exists()
 
 
 class TestAlignmentFormat:
@@ -160,6 +162,13 @@ class TestModelFormat:
         path.write_text('{"format": "tracealign-model",')
         with pytest.raises(FileFormatError):
             read_model(path)
+
+    def test_spec_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"format": "tracealign-model", "version": 2, "model": {}}')
+        with pytest.raises(ModelSpecError) as info:
+            read_model(path)
+        assert str(info.value) == f"{path}: unsupported model version 2"
 
     def test_integer_past_digit_limit_is_a_format_error(self, tmp_path):
         path = tmp_path / "digits.json"
