@@ -1,10 +1,12 @@
 """Hot numeric kernels, one numpy implementation each.
 
-``nw_fill`` is the one pairwise DP.  All-pairs scoring (``nw_scores``)
-and the profile DP (``profile_fill``) run its recurrence with the same
-float64 operations, fill order and tie-breaking.  Misalignment scoring
-(``ms_pattern``) and the column statistics are whole-array numpy
-passes.  There is no other backend.
+``profile_fill`` is the one pointer-table DP: global alignment over a
+matrix of pair scores and per-position gap costs.  Pairwise alignment
+and every profile merge run it.  All-pairs scoring (``nw_scores``) runs
+its recurrence for constant scores, keeping only the scores, with the
+same float64 operations, fill order and tie-breaking.  Misalignment
+scoring (``ms_pattern``) and the column statistics are whole-array
+numpy passes.  There is no other backend.
 """
 
 from __future__ import annotations
@@ -21,37 +23,7 @@ DIAG, UP, LEFT = 0, 1, 2
 
 
 # ---------------------------------------------------------------------------
-# Pairwise global alignment over integer-coded sequences.
-
-
-def nw_fill(a, b, match, mismatch, gap):
-    """DP table + traceback pointers, sweeping anti-diagonals in numpy."""
-    la, lb = a.size, b.size
-    h = np.empty((la + 1, lb + 1), dtype=np.float64)
-    ptr = np.empty((la + 1, lb + 1), dtype=np.uint8)
-    h[0, :] = gap * np.arange(lb + 1)
-    h[:, 0] = gap * np.arange(la + 1)
-    ptr[0, :] = LEFT
-    ptr[:, 0] = UP
-    ptr[0, 0] = DIAG
-    if la == 0 or lb == 0:
-        return h, ptr
-    sub = np.where(a[:, None] == b[None, :], match, mismatch)
-    for d in range(2, la + lb + 1):
-        lo = max(1, d - lb)
-        hi = min(la, d - 1)
-        if lo > hi:
-            continue
-        i = np.arange(lo, hi + 1)
-        j = d - i
-        diag = h[i - 1, j - 1] + sub[i - 1, j - 1]
-        up = h[i - 1, j] + gap
-        left = h[i, j - 1] + gap
-        best = np.maximum(diag, np.maximum(up, left))
-        h[i, j] = best
-        ptr[i, j] = np.where(diag == best, DIAG, np.where(up == best, UP, LEFT))
-    return h, ptr
-
+# All-pairs global alignment scores over integer-coded sequences.
 
 # Cell budget of one block of the all-pairs sweep, counted as
 # pairs x (A + B + 1) for the block's longest sides A and B.  It bounds
@@ -64,14 +36,15 @@ _BLOCK_CELLS = 1 << 14
 def nw_scores(padded, lengths, match, mismatch, gap):
     """All-pairs best global alignment scores, (N, N) and symmetric.
 
-    Every pair (i < j) runs the recurrence of ``nw_fill``, the one
-    pairwise DP, with trace i as the first side, but many pairs share
+    Every pair (i < j) runs the recurrence of ``profile_fill`` as
+    ``pairwise_align`` sets it up (constant gap costs, boundary
+    ``gap * k``), with trace i as the first side, but many pairs share
     one numpy sweep over the anti-diagonals: pairs are sorted by
     (la, lb), cut into blocks under ``_BLOCK_CELLS`` and each block
     keeps three rolling ``(pairs, A+1)`` diagonals with
     ``H_d[:, i] = h[i, d - i]``.  Each cell does the same float64
-    operations in the same order as ``nw_fill``, so scores are
-    bit-identical.  Cells past a pair's own (la, lb) read -1 padding, but
+    operations in the same order, so scores equal ``pairwise_align``'s
+    bit for bit.  Cells past a pair's own (la, lb) read -1 padding, but
     they never feed that pair's cells, which only look up and left.
     """
     n = lengths.size
@@ -128,19 +101,27 @@ def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
 
 
 # ---------------------------------------------------------------------------
-# Profile-profile alignment: the pair scores are precomputed into S and
-# the per-column gap-insertion costs into ga/gb, so the kernel is shape-
-# agnostic (the recurrence of ``nw_fill`` with per-cell scores).
+# Global alignment with traceback.  Callers precompute the pair scores
+# into s and the gap costs into ga/gb, so one kernel serves pairwise
+# alignment and profile merges alike.
 
 
-def profile_fill(s, ga, gb):
-    """Traceback pointers of the profile DP, sweeping anti-diagonals.
+def profile_fill(s, ga, gb, col0, row0):
+    """Traceback pointers and best score of a global alignment DP.
+
+    ``s[i, j]`` scores position i of the first side against position j
+    of the second, and ``ga[i]`` / ``gb[j]`` score a position against a
+    gap.  ``col0`` (la + 1 values) and ``row0`` (lb + 1 values) are the
+    score table's first column and first row; both start with the
+    corner h[0, 0].  The caller passes them because the same gap costs
+    summed two ways can differ in the last bit: a profile merge passes
+    running sums of ``ga`` and ``gb``, ``pairwise_align`` passes
+    ``gap * k``.
 
     Only the pointer table is kept: the scores live on three rolling
     anti-diagonals with ``H_d[i] = h[i, d - i]``, so memory is linear in
-    the profile lengths.  Each cell does the float64 operations of
-    ``nw_fill``, the one pairwise DP, in the same order and with the same
-    tie-breaking, so the pointers equal those of a full-table fill.
+    the side lengths.  Ties prefer DIAG, then UP, then LEFT.  Returns
+    ``(ptr, score)`` with ``score = h[la, lb]``.
     """
     la, lb = s.shape
     ptr = np.empty((la + 1, lb + 1), dtype=np.uint8)
@@ -148,17 +129,15 @@ def profile_fill(s, ga, gb):
     ptr[:, 0] = UP
     ptr[0, 0] = DIAG
     flat = ptr.reshape(-1)
-    cga, cgb = np.cumsum(ga), np.cumsum(gb)
     s_flip = s[:, ::-1]
     gb_rev = gb[::-1]
     prev2, prev1, cur = (np.empty(la + 1, dtype=np.float64) for _ in range(3))
-    cur[0] = 0.0
-    for d in range(1, la + lb + 1):
+    for d in range(la + lb + 1):
         prev2, prev1, cur = prev1, cur, prev2
         if d <= lb:
-            cur[0] = cgb[d - 1]
+            cur[0] = row0[d]
         if d <= la:
-            cur[d] = cga[d - 1]
+            cur[d] = col0[d]
         lo, hi = max(1, d - lb), min(la, d - 1)
         if lo > hi:
             continue
@@ -172,7 +151,7 @@ def profile_fill(s, ga, gb):
         flat[lo * lb + d : hi * lb + d + 1 : lb] = np.where(
             diag == best, DIAG, np.where(up == best, UP, LEFT)
         )
-    return ptr
+    return ptr, float(cur[la])
 
 
 def traceback(ptr):

@@ -158,10 +158,13 @@ def pairwise_align(
     """
     log = _two_trace_log(t1, t2)
     a, b = log.trace_codes
-    h, ptr = _kernels.nw_fill(a, b, scheme.match, scheme.mismatch, scheme.gap)
+    s = np.where(a[:, None] == b[None, :], scheme.match, scheme.mismatch)
+    ga, gb = np.full(a.size, scheme.gap), np.full(b.size, scheme.gap)
+    # First column and row at gap * k, as in ``nw_scores``, so both score alike.
+    col0, row0 = scheme.gap * np.arange(a.size + 1), scheme.gap * np.arange(b.size + 1)
+    ptr, score = _kernels.profile_fill(s, ga, gb, col0, row0)
     row1, row2 = _kernels.traceback(ptr)
-    alignment = Alignment(log, np.stack([row1, row2]))
-    return alignment, float(h[-1, -1])
+    return Alignment(log, np.stack([row1, row2])), score
 
 
 def distance_matrix(log: EventLog, scheme: ScoringScheme = DEFAULT_SCHEME) -> np.ndarray:
@@ -274,7 +277,9 @@ def align_profiles(p1: Profile, p2: Profile, scheme: ScoringScheme = DEFAULT_SCH
     if overlap:
         raise ValueError(f"profiles share members {sorted(overlap)}")
     s, ga, gb = _column_pair_scores(p1, p2, scheme)
-    ptr = _kernels.profile_fill(s, ga, gb)
+    # First column and row as running sums, which can differ from gap * k.
+    col0, row0 = np.append(0.0, np.cumsum(ga)), np.append(0.0, np.cumsum(gb))
+    ptr, _ = _kernels.profile_fill(s, ga, gb, col0, row0)
     take1, take2 = _kernels.traceback(ptr)
 
     def spread(grid: np.ndarray, take: np.ndarray) -> np.ndarray:

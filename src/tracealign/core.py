@@ -270,10 +270,8 @@ class Alignment:
     def column_of(self) -> np.ndarray:
         """(R, max_length) map from ordinal to column index, -1 padded."""
         out = np.full((self.n_rows, self.source.max_trace_length), -1, dtype=np.int64)
-        for i in range(self.n_rows):
-            row = self.grid[i]
-            occupied = np.nonzero(row >= 0)[0]
-            out[i, row[occupied]] = occupied
+        rows, cols = np.nonzero(self.grid >= 0)
+        out[rows, self.grid[rows, cols]] = cols
         out.setflags(write=False)
         return out
 

@@ -5,8 +5,9 @@ Alignment files carry one row per trace: ``case_id<TAB>cell<TAB>...``
 with ``-`` as the gap cell and a ``#L=<columns>`` header.  Both start
 with a version line (``#tracealign-log v1`` / ``#tracealign-alignment
 v1``); parsers accept missing version lines as v1 but reject any other
-version explicitly.  Model specs and metric reports are JSON documents
-with explicit version fields.
+version explicitly.  Any other line starting with ``#`` is a comment, so
+the writers refuse case ids that start with ``#``.  Model specs and
+metric reports are JSON documents with explicit version fields.
 """
 
 from __future__ import annotations
@@ -60,13 +61,22 @@ def _open_text(path: str | Path) -> io.StringIO:
         raise FileFormatError(path, line, column, f"not UTF-8 text ({exc.reason})") from None
 
 
+def _check_case_ids(log: EventLog) -> None:
+    """Refuse case ids that the readers would skip as comment lines."""
+    hashed = [trace.case_id for trace in log.traces if trace.case_id.startswith("#")]
+    if hashed:
+        raise ValueError(f"case id {hashed[0]!r} starts with '#' and would read back as a comment")
+
+
 # ---------------------------------------------------------------------------
 # Event logs.
 
 
 def write_log(log: EventLog, path: str | Path) -> None:
+    # Checked first, so a rejected log leaves no file behind.
+    _check_case_ids(log)
     commas = [label for trace in log.traces for label in trace.activities if "," in label]
-    if commas:  # checked first, so a rejected log leaves no file behind
+    if commas:
         raise ValueError(f"label {commas[0]!r} contains a comma and cannot be serialized")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{LOG_MAGIC} {FORMAT_VERSION}\n")
@@ -121,6 +131,7 @@ def read_log(path: str | Path) -> EventLog:
 
 
 def write_alignment(alignment: Alignment, path: str | Path) -> None:
+    _check_case_ids(alignment.source)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{ALIGNMENT_MAGIC} {FORMAT_VERSION}\n")
         fh.write(f"#L={alignment.length}\n")
@@ -134,6 +145,7 @@ def read_alignment(path: str | Path) -> Alignment:
     case_ids: list[str] = []
     rows: list[list[str]] = []
     row_lines: list[int] = []
+    seen: set[str] = set()
     with _open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -155,6 +167,9 @@ def read_alignment(path: str | Path) -> Alignment:
                 raise FileFormatError(
                     path, line_no, 1, f"expected {length} cells, found {len(parts) - 1}"
                 )
+            if parts[0] in seen:
+                raise FileFormatError(path, line_no, 1, f"duplicate case id {parts[0]!r}")
+            seen.add(parts[0])
             case_ids.append(parts[0])
             rows.append(parts[1:])
             row_lines.append(line_no)

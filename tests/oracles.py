@@ -7,8 +7,11 @@ the grid's cells plus its gap-column count; a pair's best score is then
 the maximum over all paths, scored together with one matrix product.
 The three-trace oracle is a direct 7-transition dynamic program over
 all column compositions.  The misalignment oracle walks every trace pair
-in plain Python, straight from the ``misalignment_score`` docstring, and
-the profile-fill oracle is a frozen full-table copy of the profile DP.
+in plain Python, straight from the ``misalignment_score`` docstring.
+Two frozen full-table fills pin the one pointer DP: ``nw_fill`` with
+its first row and column at ``gap * k``, as ``pairwise_align`` runs it,
+and ``full_table_profile_fill`` with running sums of the gap costs, as
+a profile merge runs it.
 The reference-metric oracles compare sets of occurrence ids, as the
 docstrings of ``ref_based_sps``, ``column_score`` and
 ``count_heuristic_errors`` define them.  The guide-tree oracle is a
@@ -169,6 +172,42 @@ def misalignment_oracle(alignment, pattern):
                     total += 1
             total += abs(len(inst_i) - len(inst_j))
     return float(total)
+
+
+DIAG, UP, LEFT = 0, 1, 2
+
+
+def nw_fill(a, b, match, mismatch, gap):
+    """DP table + traceback pointers, sweeping anti-diagonals in numpy.
+
+    A frozen copy of the full-table pairwise fill; pointer codes are
+    0 diagonal, 1 up, 2 left.
+    """
+    la, lb = a.size, b.size
+    h = np.empty((la + 1, lb + 1), dtype=np.float64)
+    ptr = np.empty((la + 1, lb + 1), dtype=np.uint8)
+    h[0, :] = gap * np.arange(lb + 1)
+    h[:, 0] = gap * np.arange(la + 1)
+    ptr[0, :] = LEFT
+    ptr[:, 0] = UP
+    ptr[0, 0] = DIAG
+    if la == 0 or lb == 0:
+        return h, ptr
+    sub = np.where(a[:, None] == b[None, :], match, mismatch)
+    for d in range(2, la + lb + 1):
+        lo = max(1, d - lb)
+        hi = min(la, d - 1)
+        if lo > hi:
+            continue
+        i = np.arange(lo, hi + 1)
+        j = d - i
+        diag = h[i - 1, j - 1] + sub[i - 1, j - 1]
+        up = h[i - 1, j] + gap
+        left = h[i, j - 1] + gap
+        best = np.maximum(diag, np.maximum(up, left))
+        h[i, j] = best
+        ptr[i, j] = np.where(diag == best, DIAG, np.where(up == best, UP, LEFT))
+    return h, ptr
 
 
 def full_table_profile_fill(s, ga, gb):

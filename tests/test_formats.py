@@ -91,6 +91,13 @@ class TestLogFormat:
             write_log(log, tmp_path / "bad.log")
         assert not (tmp_path / "bad.log").exists()
 
+    def test_hash_case_id_cannot_serialize(self, tmp_path):
+        # Read back, "#c1" would be a comment line and the trace lost.
+        log = EventLog([Trace("#c1", ["a", "b"]), Trace("c2", ["a"])])
+        with pytest.raises(ValueError, match="'#c1' starts with '#'"):
+            write_log(log, tmp_path / "bad.log")
+        assert not (tmp_path / "bad.log").exists()
+
 
 class TestAlignmentFormat:
     def test_roundtrip(self, tmp_path, sample_log):
@@ -135,6 +142,19 @@ class TestAlignmentFormat:
         path.write_text("#tracealign-alignment v1\n#L=2\nc1\ta\t-\nc2\tb\t-\n")
         with pytest.raises(FileFormatError, match="all gaps"):
             read_alignment(path)
+
+    def test_hash_case_id_cannot_serialize(self, tmp_path):
+        log = EventLog([Trace("#c1", ["a", "b"]), Trace("c2", ["a"])])
+        with pytest.raises(ValueError, match="'#c1' starts with '#'"):
+            write_alignment(progressive_align(log), tmp_path / "bad.aln")
+        assert not (tmp_path / "bad.aln").exists()
+
+    def test_duplicate_case_id_is_located(self, tmp_path):
+        path = tmp_path / "bad.aln"
+        path.write_text("#tracealign-alignment v1\n#L=1\nc1\ta\nc2\tb\nc1\tc\n")
+        with pytest.raises(FileFormatError) as info:
+            read_alignment(path)
+        assert str(info.value) == f"{path}:5:1: duplicate case id 'c1'"
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.aln"

@@ -11,12 +11,23 @@ from oracles import (
     brute_force_best_score,
     full_table_profile_fill,
     misalignment_oracle,
+    nw_fill,
 )
-from tracealign import _kernels, extract_patterns, progressive_align
+from tracealign import (
+    ScoringScheme,
+    Trace,
+    _kernels,
+    extract_patterns,
+    pairwise_align,
+    progressive_align,
+)
 from tracealign.experiments import perturb
 from tracealign.metrics import misalignment_score
 
 SCHEMES = [(1.0, -1.0, 0.0), (2.0, -0.5, -0.25), (1.0, -1.0, -1.0)]
+# Schemes whose sums round, so a boundary built as a running total differs
+# from ``gap * k`` in the last bit, and one whose zeros carry a sign.
+NON_DYADIC = [(1.0, -0.3, -0.1), (0.1, -0.2, 0.3), (3.3, 1.1, -0.7), (1.0, -0.0, -0.0)]
 
 
 @pytest.fixture
@@ -24,36 +35,38 @@ def rng():
     return np.random.default_rng(60)
 
 
-class TestNwFill:
-    """The pairwise DP against the frozen full-table fill and against every
-    alignment path."""
+def traces(a, b):
+    """Two traces with the code sequences a and b as labels."""
+    return Trace("a", [str(c) for c in a]), Trace("b", [str(c) for c in b])
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+
+def merge_edges(ga, gb):
+    """The DP's first column and row as a profile merge builds them."""
+    return np.append(0.0, np.cumsum(ga)), np.append(0.0, np.cumsum(gb))
+
+
+class TestNwFill:
+    """``pairwise_align`` against the frozen full-table pairwise fill and
+    against every alignment path."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC)
     def test_matches_full_table_fill(self, rng, scheme):
-        match, mismatch, gap = scheme
         for _ in range(100):
-            la, lb = (int(n) for n in rng.integers(0, 12, size=2))
+            la, lb = (int(n) for n in rng.integers(1, 12, size=2))
             a = rng.integers(0, 3, size=la)
             b = rng.integers(0, 3, size=lb)
-            sub = np.where(a[:, None] == b[None, :], match, mismatch)
-            h, ptr = _kernels.nw_fill(a, b, *scheme)
-            expected_h, expected_ptr = full_table_profile_fill(
-                sub, np.full(la, gap), np.full(lb, gap)
-            )
-            assert np.array_equal(h, expected_h)
-            assert np.array_equal(ptr, expected_ptr)
+            alignment, score = pairwise_align(*traces(a, b), ScoringScheme(*scheme))
+            h, ptr = nw_fill(a, b, *scheme)
+            assert np.array_equal(alignment.grid, np.stack(_kernels.traceback(ptr)))
+            assert score.hex() == float(h[-1, -1]).hex()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_matches_brute_force_on_every_small_pair(self, scheme):
-        sequences = [
-            np.array(seq, dtype=np.int64)
-            for n in range(5)
-            for seq in itertools.product(range(3), repeat=n)
-        ]
+        sequences = [seq for n in range(1, 5) for seq in itertools.product(range(3), repeat=n)]
         for a, b in itertools.combinations_with_replacement(sequences, 2):
             best = brute_force_best_score(a, b, *scheme)
-            assert _kernels.nw_fill(a, b, *scheme)[0][-1, -1] == best
-            assert _kernels.nw_fill(b, a, *scheme)[0][-1, -1] == best
+            assert pairwise_align(*traces(a, b), ScoringScheme(*scheme))[1] == best
+            assert pairwise_align(*traces(b, a), ScoringScheme(*scheme))[1] == best
 
 
 class TestProfileFill:
@@ -72,8 +85,10 @@ class TestProfileFill:
                 s = rng.normal(size=(la, lb))
                 ga = rng.normal(size=la) * 0.1
                 gb = rng.normal(size=lb) * 0.1
-            _, expected = full_table_profile_fill(s, ga, gb)
-            assert np.array_equal(_kernels.profile_fill(s, ga, gb), expected)
+            h, expected = full_table_profile_fill(s, ga, gb)
+            ptr, score = _kernels.profile_fill(s, ga, gb, *merge_edges(ga, gb))
+            assert np.array_equal(ptr, expected)
+            assert score.hex() == float(h[-1, -1]).hex()
 
     def test_traced_path_scores_the_best_path(self, rng):
         for la, lb in itertools.product(range(6), repeat=2):
@@ -81,7 +96,8 @@ class TestProfileFill:
             s = rng.integers(-8, 9, size=(la, lb)) / 4.0
             ga = -rng.integers(0, 5, size=la) / 4.0
             gb = -rng.integers(0, 5, size=lb) / 4.0
-            first, second = _kernels.traceback(_kernels.profile_fill(s, ga, gb))
+            ptr, _ = _kernels.profile_fill(s, ga, gb, *merge_edges(ga, gb))
+            first, second = _kernels.traceback(ptr)
             traced = sum(
                 s[i, j] if i >= 0 and j >= 0 else ga[i] if i >= 0 else gb[j]
                 for i, j in zip(first.tolist(), second.tolist())
@@ -141,7 +157,7 @@ class TestNwScores:
         for i, j in itertools.combinations(range(len(sequences)), 2):
             assert scores[i, j] == brute_force_best_score(sequences[i], sequences[j], *scheme)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC[:1])
     def test_matches_pairwise_fill_across_blocks(self, rng, monkeypatch, scheme):
         # A small budget splits the pairs into many blocks of unequal shapes.
         monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 200)
@@ -149,8 +165,8 @@ class TestNwScores:
         sequences += [np.zeros(0, dtype=np.int64), rng.integers(0, 4, size=30)]
         scores = _kernels.nw_scores(*pad(sequences), *scheme)
         for i, j in itertools.combinations(range(len(sequences)), 2):
-            h, _ = _kernels.nw_fill(sequences[i], sequences[j], *scheme)
-            assert scores[i, j] == h[-1, -1]
+            h, _ = nw_fill(sequences[i], sequences[j], *scheme)
+            assert scores[i, j].hex() == h[-1, -1].hex()
 
     def test_symmetric_with_zero_diagonal(self, rng):
         sequences = [rng.integers(0, 3, size=int(n)) for n in rng.integers(0, 12, size=15)]
