@@ -193,7 +193,7 @@ def build_guide_tree(distances: np.ndarray) -> GuideTree:
 
     At each step the two clusters at minimal average inter-cluster
     distance merge; ties are broken by the smallest minimum leaf index
-    of the left cluster, then of the right.
+    of the left cluster, then of the right.  Distances must be finite.
     """
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -201,31 +201,31 @@ def build_guide_tree(distances: np.ndarray) -> GuideTree:
     n = d.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 traces, got {n}")
+    if not np.isfinite(d).all():
+        raise ValueError("distance matrix must be finite")
     if not np.array_equal(d, d.T):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diagonal(d) != 0.0):
         raise ValueError("distance matrix must have a zero diagonal")
 
-    # A merged cluster keeps the slot of its smaller minimum leaf, so every
-    # active slot is its own minimum leaf and ``active`` stays sorted: the
-    # tie-break is the first minimum of the active upper triangle, row-major.
+    # +inf fills the diagonal and every merged-away slot, and a merged
+    # cluster keeps the slot of its smaller minimum leaf, so the first
+    # minimum of the symmetric array, row-major, is the tie-break pair.
     trees = [GuideTree.leaf(i) for i in range(n)]
     sizes = [1] * n
     dist = d.copy()
-    active = np.arange(n)
-    while active.size > 1:
-        rows, cols = np.triu_indices(active.size, 1)
-        best = int(np.argmin(dist[active[rows], active[cols]]))
-        ci, cj = int(active[rows[best]]), int(active[cols[best]])
+    np.fill_diagonal(dist, np.inf)
+    for _ in range(n - 1):
+        ci, cj = divmod(int(np.argmin(dist)), n)
+        if dist[ci, cj] == np.inf:  # every distance left overflowed
+            ci, cj = np.flatnonzero(sizes)[:2].tolist()
         trees[ci] = GuideTree.join(trees[ci], trees[cj], float(dist[ci, cj]))
-        active = active[active != cj]
         # Average linkage via the Lance-Williams update; slot ci holds the merge.
-        others = active[active != ci]
         wi, wj = sizes[ci], sizes[cj]
-        merged = (wi * dist[ci, others] + wj * dist[cj, others]) / (wi + wj)
-        dist[ci, others] = dist[others, ci] = merged
-        sizes[ci] = wi + wj
-    return trees[int(active[0])]
+        dist[ci] = dist[:, ci] = (wi * dist[ci] + wj * dist[cj]) / (wi + wj)
+        dist[cj] = dist[:, cj] = dist[ci, ci] = np.inf
+        sizes[ci], sizes[cj] = wi + wj, 0
+    return trees[0]
 
 
 _SCORE_BLOCK_CELLS = 1 << 16

@@ -161,7 +161,7 @@ def extract_patterns(log: EventLog, min_len: int = 2, max_len: int | None = None
     if max_len < min_len:
         raise ValueError(f"max_len {max_len} below min_len {min_len}")
 
-    dtype = np.uint8 if len(log.alphabet) <= 256 else np.uint16
+    dtype = np.min_scalar_type(len(log.alphabet) - 1)
     tables = []
     for m in range(min_len, min(max_len, longest) + 1):
         chunks = [

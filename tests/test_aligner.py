@@ -241,14 +241,20 @@ class TestGuideTree:
         assert t.left.left.leaves() == [0, 1]
 
     def test_matches_oracle_on_tie_heavy_matrices(self):
-        # Three distance values tie almost every step, before and after
-        # the averaging updates.
+        # Few distance values tie almost every step, before and after the
+        # averaging updates.  Near the float64 limit the averaging
+        # overflows to +inf, and once every distance left is +inf the
+        # first two live clusters merge.
         rng = np.random.default_rng(41)
-        for _ in range(150):
-            n = int(rng.integers(2, 16))
-            upper = np.triu(rng.choice([0.0, 0.5, 1.0], size=(n, n)), 1)
-            d = upper + upper.T
-            assert tree_tuples(build_guide_tree(d)) == guide_tree_oracle(d)
+        for values in ((0.0, 0.5, 1.0), (0.0, 0.5, 1.0, 1e308, 1.7e308)):
+            for _ in range(150):
+                n = int(rng.integers(2, 16))
+                upper = np.triu(rng.choice(values, size=(n, n)), 1)
+                d = upper + upper.T
+                before = d.copy()
+                with np.errstate(over="ignore"):
+                    assert tree_tuples(build_guide_tree(d)) == guide_tree_oracle(d)
+                assert np.array_equal(d, before)
 
     @pytest.mark.parametrize("model", bundled_model_names())
     def test_matches_oracle_on_model_distances(self, model):
@@ -262,6 +268,9 @@ class TestGuideTree:
     def test_rejects_malformed_matrices(self):
         with pytest.raises(ValueError):
             build_guide_tree(np.zeros((1, 1)))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^distance matrix must be finite$"):
+                build_guide_tree(np.array([[0.0, bad], [bad, 0.0]]))
         with pytest.raises(ValueError, match="symmetric"):
             build_guide_tree(np.array([[0.0, 0.2], [0.3, 0.0]]))
         with pytest.raises(ValueError, match="diagonal"):

@@ -286,6 +286,15 @@ class TestExtractPatterns:
         )
         self.assert_matches_oracle(log, 2, 4)
 
+    def test_matches_census_oracle_above_65536_types(self):
+        # Code 65,536 must not wrap onto code 0 and merge two windows.
+        labels = [f"x{i:05d}" for i in range(65_537)]
+        log = EventLog([Trace("t0", labels + labels[1:2])])
+        census = extract_patterns(log, 2, 2)
+        assert len(census) == 65_537
+        assert census.count(tuple(labels[:2])) == 1
+        assert dict(census.items()) == census_oracle(log, 2, 2)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.sampled_from("ab"), min_size=2, max_size=12))
     def test_extension_never_more_frequent(self, symbols):
