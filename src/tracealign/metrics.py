@@ -12,6 +12,7 @@ one-occurrence-per-column worst case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -69,53 +70,86 @@ class Pattern(tuple):
         return "<" + ", ".join(self) + ">"
 
 
+class _RankTable(NamedTuple):
+    """The distinct windows of one length, numbered by rank.
+
+    ``keys`` are sorted, one per distinct window: the rank of its prefix
+    one activity shorter times the alphabet size, plus its last code.
+    A window's rank is its index in ``keys``.  ``counts`` holds each
+    window's occurrences and ``first`` one flat position where it starts.
+    """
+
+    keys: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+
+
 class PatternCensus:
     """Occurrence counts of every contiguous subsequence within bounds.
 
-    Overlapping occurrences count, and counting is log-wide.  Each
-    pattern length keeps the ``np.unique`` table of its windows: the
-    distinct windows as sorted rows of packed codes, and their counts.
-    That keeps million-entry censuses cheap; iteration decodes to
-    :class:`Pattern` on demand, by length and then in window order.
+    Overlapping occurrences count, and counting is log-wide.  ``tables``
+    holds one rank table per window length, from 2 up to the longest
+    counted length, and ``codes`` the log's trace codes concatenated
+    (a census without tables needs none).  A rank table's sorted keys
+    put its windows in lexicographic order, and its first positions let
+    a window be read back from ``codes``.  Iteration decodes to
+    :class:`Pattern` on demand, by length and then in window order;
+    lengths below ``min_len`` only serve :meth:`count`.
     """
 
     def __init__(
         self,
         alphabet: tuple[str, ...],
-        tables: Sequence[tuple[np.ndarray, np.ndarray]],
+        tables: Sequence[_RankTable],
         min_len: int,
         max_len: int,
+        codes: np.ndarray | None = None,
     ) -> None:
         self.alphabet = alphabet
         self._tables = tuple(tables)
+        self._codes = codes
         self.min_len = min_len
         self.max_len = max_len
-        self.f_max = max((int(counts.max()) for _, counts in self._tables), default=0)
+        self.f_max = max((int(t.counts.max()) for _, t in self._counted()), default=0)
+
+    def _counted(self) -> Iterator[tuple[int, _RankTable]]:
+        """(window length, rank table) for each length in the census bounds."""
+        return enumerate(self._tables[self.min_len - 2 :], self.min_len)
 
     def __len__(self) -> int:
-        return sum(counts.size for _, counts in self._tables)
+        return sum(t.counts.size for _, t in self._counted())
 
     def __bool__(self) -> bool:
-        return bool(self._tables)
+        return len(self._tables) > self.min_len - 2
+
+    @cached_property
+    def _code_of(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.alphabet)}
 
     def count(self, pattern: Sequence[str]) -> int:
-        for windows, counts in self._tables:
-            if windows.shape[1] == len(pattern):
-                try:
-                    codes = [self.alphabet.index(s) for s in pattern]
-                except ValueError:
-                    return 0
-                hit = np.flatnonzero((windows == codes).all(axis=1))
-                return int(counts[hit[0]]) if hit.size else 0
-        return 0
+        if not self.min_len <= len(pattern) <= len(self._tables) + 1:
+            return 0
+        try:
+            codes = [self._code_of[s] for s in pattern]
+        except KeyError:
+            return 0
+        # Extend the prefix's rank one activity at a time.
+        rank = codes[0]
+        for table, code in zip(self._tables, codes[1:]):
+            key = rank * len(self.alphabet) + code
+            rank = int(np.searchsorted(table.keys, key))
+            if rank == table.keys.size or table.keys[rank] != key:
+                return 0
+        return int(self._tables[len(pattern) - 2].counts[rank])
 
     def __contains__(self, pattern: Sequence[str]) -> bool:
         return self.count(pattern) > 0
 
     def _entries(self, threshold: float) -> Iterator[tuple[Pattern, int]]:
-        for windows, counts in self._tables:
-            keep = counts > threshold
-            for row, n in zip(windows[keep].tolist(), counts[keep].tolist()):
+        for m, table in self._counted():
+            keep = table.counts > threshold
+            windows = self._codes[table.first[keep, None] + np.arange(m)]
+            for row, n in zip(windows.tolist(), table.counts[keep].tolist()):
                 yield Pattern(self.alphabet[c] for c in row), n
 
     def items(self) -> Iterator[tuple[Pattern, int]]:
@@ -134,11 +168,11 @@ class PatternCensus:
         if buckets < 1:
             raise ValueError(f"buckets must be >= 1, got {buckets}")
         table: dict[tuple[int, int], int] = {}
-        for windows, counts in self._tables:
+        for m, rank_table in self._counted():
             # Buckets rise with f_p, so each distinct count is bucketed once.
-            values, tally = np.unique(counts, return_counts=True)
+            values, tally = np.unique(rank_table.counts, return_counts=True)
             for n, k in zip(values.tolist(), tally.tolist()):
-                entry = (windows.shape[1], min(int(buckets * n / self.f_max), buckets - 1))
+                entry = (m, min(int(buckets * n / self.f_max), buckets - 1))
                 table[entry] = table.get(entry, 0) + k
         return table
 
@@ -146,9 +180,12 @@ class PatternCensus:
 def extract_patterns(log: EventLog, min_len: int = 2, max_len: int | None = None) -> PatternCensus:
     """Count every contiguous activity subsequence of bounded length.
 
-    Sliding windows of each length are stacked across traces and
-    deduplicated in one sort per length, so the census stays vectorized
-    even for long traces.
+    Windows are numbered by extending ranks (Karp, Miller and Rosenberg
+    1972): a window of length m is keyed by the rank of its first m - 1
+    activities times the alphabet size plus its last code, so each
+    length is one ``np.unique`` over int64 keys, in lexicographic order
+    because the alphabet is sorted.  Each length keeps only the starts
+    whose trace still has m activities left.
     """
     if len(log) == 0:
         raise ValueError("cannot extract patterns from an empty log")
@@ -161,17 +198,24 @@ def extract_patterns(log: EventLog, min_len: int = 2, max_len: int | None = None
     if max_len < min_len:
         raise ValueError(f"max_len {max_len} below min_len {min_len}")
 
-    dtype = np.min_scalar_type(len(log.alphabet) - 1)
+    codes = np.concatenate(log.trace_codes)
+    lengths = log.lengths
+    # Activities left in each position's trace, its own included.
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(codes.size)
+    starts = np.arange(codes.size)
+    ranks = codes
     tables = []
-    for m in range(min_len, min(max_len, longest) + 1):
-        chunks = [
-            np.lib.stride_tricks.sliding_window_view(codes, m)
-            for codes in log.trace_codes
-            if codes.size >= m
-        ]
-        if chunks:
-            tables.append(np.unique(np.vstack(chunks).astype(dtype), axis=0, return_counts=True))
-    return PatternCensus(log.alphabet, tables, min_len, max_len)
+    for m in range(2, min(max_len, longest) + 1):
+        room = left[starts] >= m
+        starts = starts[room]
+        # Ranks and codes are below the number of positions, so keys stay
+        # far inside int64 for any log that fits in memory.
+        keys = ranks[room] * len(log.alphabet) + codes[starts + m - 1]
+        keys, first, ranks, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        tables.append(_RankTable(keys, counts, starts[first]))
+    return PatternCensus(log.alphabet, tables, min_len, max_len, codes)
 
 
 def ref_free_sps(alignment: Alignment, scheme: ScoringScheme = DEFAULT_SCHEME) -> float:

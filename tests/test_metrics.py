@@ -290,10 +290,27 @@ class TestExtractPatterns:
         # Code 65,536 must not wrap onto code 0 and merge two windows.
         labels = [f"x{i:05d}" for i in range(65_537)]
         log = EventLog([Trace("t0", labels + labels[1:2])])
-        census = extract_patterns(log, 2, 2)
-        assert len(census) == 65_537
-        assert census.count(tuple(labels[:2])) == 1
-        assert dict(census.items()) == census_oracle(log, 2, 2)
+        self.assert_matches_oracle(log, 2, 2)
+
+    def test_count_is_zero_outside_the_census(self):
+        log = make_log(("t0", "abcab"), ("t1", "ab"))
+        census = extract_patterns(log, min_len=3, max_len=4)
+        assert census.count(("a", "b", "c")) == 1
+        # Length-2 windows are ranked on the way to length 3, yet not counted;
+        # the whole first trace is longer than max_len.
+        for outside in (("a", "b"), tuple("abcab"), ("a", "z", "c"), ("a",), ()):
+            assert census.count(outside) == 0
+            assert outside not in census
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_census_oracle_on_drawn_logs(self, data):
+        letters = "abc"[: data.draw(st.integers(1, 3))]
+        traces = data.draw(st.lists(st.text(letters, min_size=1, max_size=12), min_size=1, max_size=6))
+        min_len = data.draw(st.integers(2, 6))
+        max_len = data.draw(st.none() | st.integers(min_len, 13))
+        log = EventLog([Trace(f"t{i}", list(t)) for i, t in enumerate(traces)])
+        self.assert_matches_oracle(log, min_len, max_len)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.sampled_from("ab"), min_size=2, max_size=12))
