@@ -167,23 +167,47 @@ def pairwise_align(
     return Alignment(log, np.stack([row1, row2])), score
 
 
+def _variant_ids(log: EventLog) -> np.ndarray:
+    """Each trace's variant: distinct activity sequences numbered 0, 1, ...
+    in order of first occurrence."""
+    ids: dict[tuple[str, ...], int] = {}
+    return np.fromiter(
+        (ids.setdefault(t.activities, len(ids)) for t in log.traces), dtype=np.int64, count=len(log)
+    )
+
+
 def distance_matrix(log: EventLog, scheme: ScoringScheme = DEFAULT_SCHEME) -> np.ndarray:
     """Symmetric normalized alignment-score distances in [0, 1].
 
     d(i,j) = 1 - score(i,j) / (match * min(|Ti|, |Tj|)), clamped; a pair
     scoring at the match ceiling is at distance 0, a pair scoring <= 0
     lands at 1.
+
+    Scores are computed once per pair of distinct variants and spread to
+    every trace of both.  Two copies of one variant need not be at
+    distance 0, as summing ``match`` cell by cell can fall short of the
+    ceiling in the last bit, so each repeated variant's first two
+    occurrences are scored too and give its self-distance.  Only the
+    diagonal is set to 0.
     """
     n = len(log)
     if n < 2:
         raise ValueError(f"need at least 2 traces, got {n}")
+    ids = _variant_ids(log)
+    first = np.unique(ids, return_index=True)[1]
+    later = np.delete(np.arange(n), first)
+    repeated, second = np.unique(ids[later], return_index=True)
+    rows = np.concatenate([first, later[second]])
     scores = _kernels.nw_scores(
-        log.padded_codes, log.lengths, scheme.match, scheme.mismatch, scheme.gap
+        log.padded_codes[rows], log.lengths[rows], scheme.match, scheme.mismatch, scheme.gap
     )
-    best = scheme.match * np.minimum.outer(log.lengths, log.lengths).astype(np.float64)
+    v = first.size
+    scores[repeated, repeated] = scores[repeated, v + np.arange(repeated.size)]
+    lengths = log.lengths[first]
+    best = scheme.match * np.minimum.outer(lengths, lengths).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(best > 0, 1.0 - scores / best, 1.0)
-    d = np.clip(d, 0.0, 1.0)
+        d = np.where(best > 0, 1.0 - scores[:v, :v] / best, 1.0)
+    d = np.clip(d, 0.0, 1.0)[np.ix_(ids, ids)]
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -337,6 +361,25 @@ def _perturbed_distances(d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return d * (upper + upper.T)
 
 
+def _shape_id(tree: GuideTree, variants: np.ndarray, shapes: dict[tuple[int, int], int]) -> int:
+    """Id of ``tree`` with each leaf read as its trace's variant.
+
+    A leaf's id is ``~variant``; each join gets the next free id from
+    ``shapes``, keyed by its children's ids, so two trees get the same id
+    exactly when they have the same shape and the same variants in the
+    same leaf positions.
+    """
+    pending: list[int] = []
+    for node in _postorder(tree):
+        if node.is_leaf:
+            pending.append(~int(variants[node.index]))
+        else:
+            right = pending.pop()
+            left = pending.pop()
+            pending.append(shapes.setdefault((left, right), len(shapes)))
+    return pending.pop()
+
+
 def consensus_reference(
     log: EventLog,
     scheme: ScoringScheme = DEFAULT_SCHEME,
@@ -349,18 +392,32 @@ def consensus_reference(
     built from noise-perturbed distance matrices.  Candidates are ranked
     by reference-free sum-of-pairs score, with ties broken by lower
     alignment complexity and then by earlier candidate index.
+
+    A candidate whose tree has the shape and leaf variants of an earlier
+    one is not aligned: its rows are the earlier candidate's, permuted
+    among copies of one variant, so its columns, score and complexity are
+    the same and it loses the tie.  Every candidate's noise is still
+    drawn, so later candidates see the same trees.
     """
     from .metrics import alignment_complexity, ref_free_sps
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     d = distance_matrix(log, scheme)
+    variants = _variant_ids(log)
+    shapes: dict[tuple[int, int], int] = {}
+    seen: set[int] = set()
     rng = np.random.default_rng(seed)
     best: Alignment | None = None
     best_key: tuple[float, float] | None = None
     for i in range(k):
         matrix = d if i == 0 else _perturbed_distances(d, rng)
-        candidate = progressive_align(log, scheme, build_guide_tree(matrix))
+        tree = build_guide_tree(matrix)
+        shape = _shape_id(tree, variants, shapes)
+        if shape in seen:
+            continue
+        seen.add(shape)
+        candidate = progressive_align(log, scheme, tree)
         sps = ref_free_sps(candidate, scheme)
         complexity = alignment_complexity(candidate).value
         key = (-sps, complexity)

@@ -229,14 +229,18 @@ def ref_free_sps(alignment: Alignment, scheme: ScoringScheme = DEFAULT_SCHEME) -
     return _kernels.sps_from_counts(counts, scheme.match, scheme.mismatch, scheme.gap)
 
 
-def _cell_table(a: Alignment, ref: Alignment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Occurrences tallied by their (column in ``a``, column in ``ref``) cell.
+def _reference_metrics(
+    a: Alignment, ref: Alignment, undefined: tuple[type[Exception], ...] = ()
+) -> tuple[float | None, float, int]:
+    """``ref_based_sps``, ``column_score`` and ``count_heuristic_errors``
+    from one tally of the occurrences by their (column in ``a``, column in
+    ``ref``) cell.
 
-    Returns ``(counts, exact, ref_sizes)``: ``counts`` holds the
-    occurrences of each nonempty cell and ``ref_sizes`` those of each
-    reference column.  A cell is ``exact``
-    when it holds the whole of its column in both alignments: exactly
-    then do its occurrences have the same column partners in both.
+    A cell is exact when it holds the whole of its column in both
+    alignments: exactly then do its occurrences have the same column
+    partners in both.  ``ref_based_sps`` is ``None`` when the reference
+    has no aligned pairs and ``DegenerateReferenceError`` is in
+    ``undefined``.
     """
     if a.source != ref.source:
         raise SourceMismatchError("alignments do not share a source log")
@@ -249,7 +253,13 @@ def _cell_table(a: Alignment, ref: Alignment) -> tuple[np.ndarray, np.ndarray, n
     sizes = np.bincount(ca, minlength=a.length)
     ref_sizes = np.bincount(cr, minlength=ref.length)
     exact = (counts == sizes[cells // ref.length]) & (counts == ref_sizes[cells % ref.length])
-    return counts, exact, ref_sizes
+    ref_pairs = int((ref_sizes * (ref_sizes - 1)).sum()) // 2
+    if ref_pairs == 0 and not issubclass(DegenerateReferenceError, undefined):
+        raise DegenerateReferenceError("reference alignment has no aligned pairs")
+    # Two occurrences share a column in both alignments iff they share a cell.
+    common = int((counts * (counts - 1)).sum()) // 2
+    sps = common / ref_pairs if ref_pairs else None
+    return sps, int(exact.sum()) / a.length, int(counts.sum() - counts[exact].sum())
 
 
 def ref_based_sps(a: Alignment, ref: Alignment) -> float:
@@ -258,13 +268,7 @@ def ref_based_sps(a: Alignment, ref: Alignment) -> float:
     A pair is two occurrences sharing a column; identity is by
     occurrence, so repeated activities of one type stay distinct.
     """
-    counts, _, ref_sizes = _cell_table(a, ref)
-    ref_pairs = int((ref_sizes * (ref_sizes - 1)).sum()) // 2
-    if ref_pairs == 0:
-        raise DegenerateReferenceError("reference alignment has no aligned pairs")
-    # Two occurrences share a column in both alignments iff they share a cell.
-    common = int((counts * (counts - 1)).sum()) // 2
-    return common / ref_pairs
+    return _reference_metrics(a, ref)[0]
 
 
 def column_score(a: Alignment, ref: Alignment) -> float:
@@ -273,8 +277,7 @@ def column_score(a: Alignment, ref: Alignment) -> float:
     Occurrence sets of distinct columns are disjoint, so each reference
     column can match at most one result column.
     """
-    _, exact, _ = _cell_table(a, ref)
-    return int(exact.sum()) / a.length
+    return _reference_metrics(a, ref, (DegenerateReferenceError,))[1]
 
 
 def misalignment_score(alignment: Alignment, pattern: Sequence[str]) -> float:
@@ -465,8 +468,7 @@ def consensus_sequence(alignment: Alignment, majority: float = 0.5) -> list[Cons
 
 def count_heuristic_errors(a: Alignment, ref: Alignment) -> int:
     """Occurrences whose same-column partner set differs from the reference."""
-    counts, exact, _ = _cell_table(a, ref)
-    return int(counts.sum() - counts[exact].sum())
+    return _reference_metrics(a, ref, (DegenerateReferenceError,))[2]
 
 
 METRIC_ORDER = (
@@ -542,21 +544,18 @@ def _metric_report(
 
     Only OMS and ``ref_based_sps`` can read as ``None``; ``()`` lets every error out.
     """
-
-    def defined(metric: Callable[..., float], *args: object) -> float | None:
-        try:
-            return metric(*args)
-        except undefined:
-            return None
-
     require_valid(alignment)
     if census is None:
         census = extract_patterns(alignment.source)
     top = most_frequent_pattern(census)
+    try:
+        oms = overall_misalignment_score(alignment, census, tf_ratio)
+    except undefined:
+        oms = None
     report = MetricReport(
         ref_free_sps=ref_free_sps(alignment, scheme),
         ms_top=misalignment_score(alignment, top),
-        oms=defined(overall_misalignment_score, alignment, census, tf_ratio),
+        oms=oms,
         ois=overall_information_score(alignment),
         complexity=alignment_complexity(alignment),
         consensus=consensus_sequence(alignment, majority),
@@ -566,7 +565,7 @@ def _metric_report(
         scheme=scheme,
     )
     if reference is not None:
-        report.ref_based_sps = defined(ref_based_sps, alignment, reference)
-        report.column_score = column_score(alignment, reference)
-        report.n_e = count_heuristic_errors(alignment, reference)
+        report.ref_based_sps, report.column_score, report.n_e = _reference_metrics(
+            alignment, reference, undefined
+        )
     return report

@@ -18,7 +18,9 @@ docstrings of ``ref_based_sps``, ``column_score`` and
 frozen copy of the pairwise-loop agglomeration, and the census oracle
 counts tuple windows in a ``Counter``.  The guide-tree walk oracles
 recurse over the tree: one lists its leaves, the other folds a merge
-function bottom-up.
+function bottom-up.  The consensus oracle is a frozen copy of the
+best-of-k loop that aligns and scores every candidate, and the distance
+oracle scores every trace pair with ``nw_fill``.
 """
 
 import itertools
@@ -349,3 +351,52 @@ def guide_tree_fold_oracle(tree, leaf, merge):
         guide_tree_fold_oracle(tree.left, leaf, merge),
         guide_tree_fold_oracle(tree.right, leaf, merge),
     )
+
+
+def consensus_oracle(log, scheme, k, seed):
+    """Best-of-k consensus with every candidate aligned and scored.
+
+    A frozen copy of the loop the candidate skip replaced, with the same
+    noise draws and the same ``(-sps, complexity)`` key; returns
+    ``(best, winner, trees)``: the winning alignment, its index and every
+    candidate's guide tree.
+    """
+    from tracealign import (
+        alignment_complexity,
+        build_guide_tree,
+        distance_matrix,
+        progressive_align,
+        ref_free_sps,
+    )
+
+    d = distance_matrix(log, scheme)
+    rng = np.random.default_rng(seed)
+    best = winner = best_key = None
+    trees = []
+    for i in range(k):
+        if i == 0:
+            matrix = d
+        else:
+            upper = np.triu(rng.uniform(0.9, 1.1, size=d.shape), 1)
+            matrix = d * (upper + upper.T)
+        trees.append(build_guide_tree(matrix))
+        candidate = progressive_align(log, scheme, trees[-1])
+        key = (-ref_free_sps(candidate, scheme), alignment_complexity(candidate).value)
+        if best_key is None or key < best_key:
+            best, winner, best_key = candidate, i, key
+    return best, winner, trees
+
+
+def distance_oracle(log, match, mismatch, gap):
+    """Normalized distances of every trace pair, each scored by ``nw_fill``."""
+    codes = log.trace_codes
+    n = len(codes)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            score = float(nw_fill(codes[i], codes[j], match, mismatch, gap)[0][-1, -1])
+            best = match * min(codes[i].size, codes[j].size)
+            d[i, j] = min(max(1.0 - score / best, 0.0), 1.0) if best > 0 else 1.0
+    return d

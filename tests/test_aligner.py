@@ -4,11 +4,14 @@ import pytest
 from conftest import random_log
 from oracles import (
     brute_force_best_score,
+    consensus_oracle,
+    distance_oracle,
     enumerate_alignment_scores,
     guide_tree_fold_oracle,
     guide_tree_leaves_oracle,
     guide_tree_oracle,
 )
+from test_kernels import NON_DYADIC, SCHEMES
 from tracealign import aligner as aligner_module
 from tracealign import (
     Alignment,
@@ -145,6 +148,24 @@ class TestDistanceMatrix:
     def test_needs_two_traces(self):
         with pytest.raises(ValueError):
             distance_matrix(EventLog([trace("x", "A")]))
+
+    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC)
+    def test_matches_per_pair_oracle(self, scheme):
+        # Distances are computed per distinct variant; every trace pair of
+        # the oracle is scored on its own.  Copies of a long variant sit
+        # just above 0 under schemes whose match does not sum exactly.
+        long = "xyz" * 5
+        logs = [
+            EventLog([trace(f"t{i}", "AB") for i in range(3)]),
+            EventLog([trace(f"t{i}", long) for i in range(4)]),
+            EventLog([trace(f"t{i}", labels) for i, labels in enumerate(["AB", "ABC", "BA", "CAB"])]),
+            EventLog([trace(f"t{i}", labels) for i, labels in enumerate(["AB", "ABC", "AB", "ABC", "ABCAB"])]),
+            EventLog([trace(f"t{i}", labels) for i, labels in enumerate([long, "xy", long, "xyz", long])]),
+            random_log(np.random.default_rng(16), n_traces=12, max_len=4, alphabet=("a", "b")),
+        ]
+        for log in logs:
+            got = distance_matrix(log, ScoringScheme(*scheme))
+            assert np.array_equal(got, distance_oracle(log, *scheme))
 
 
 def tree_tuples(tree: GuideTree):
@@ -425,6 +446,82 @@ class TestConsensusReference:
         log = random_log(rng, n_traces=3)
         with pytest.raises(ValueError):
             consensus_reference(log, k=0)
+
+
+def variant_shape(tree: GuideTree, log: EventLog):
+    """The guide tree as nested pairs, each leaf read as its activities."""
+    if tree.is_leaf:
+        return log.traces[tree.index].activities
+    return (variant_shape(tree.left, log), variant_shape(tree.right, log))
+
+
+class TestConsensusSkip:
+    """Candidates repeating an earlier tree's variant shape are skipped; the
+    result must equal the loop that aligns and scores every candidate."""
+
+    @staticmethod
+    def assert_matches_oracle(log, k, seed):
+        expected = consensus_oracle(log, ScoringScheme(), k, seed)[0]
+        assert np.array_equal(consensus_reference(log, k=k, seed=seed).grid, expected.grid)
+
+    @pytest.mark.parametrize("model", bundled_model_names())
+    @pytest.mark.parametrize("n", [30, 150])
+    def test_matches_oracle_on_models(self, model, n):
+        self.assert_matches_oracle(generate_log(load_bundled_model(model), n, seed=7), 8, 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_matches_oracle_across_seeds(self, seed, k):
+        self.assert_matches_oracle(generate_log(load_bundled_model("claims"), 30, seed=3), k, seed)
+
+    def test_identical_traces(self):
+        log = EventLog([trace(f"t{i}", "ABCAB") for i in range(12)])
+        for seed in range(3):
+            self.assert_matches_oracle(log, 8, seed)
+
+    def test_distinct_candidate_after_skipped_one_wins(self):
+        # Candidates 3, 4 and 5 repeat earlier shapes and candidate 7 wins,
+        # so the skipped candidates' noise draws must still be taken.
+        log = generate_log(load_bundled_model("onboarding"), 10, seed=2)
+        _, winner, trees = consensus_oracle(log, ScoringScheme(), 8, 3)
+        shapes = [variant_shape(tree, log) for tree in trees]
+        skipped = [i for i in range(winner) if shapes[i] in shapes[:i]]
+        assert winner == 7 and skipped == [3, 4, 5]
+        self.assert_matches_oracle(log, 8, 3)
+
+    def test_shape_ids_equal_iff_variant_shapes_equal(self):
+        rng = np.random.default_rng(17)
+        log = EventLog([trace(f"t{i}", labels) for i, labels in enumerate("AABBCA")])
+        variants = aligner_module._variant_ids(log)
+        assert variants.tolist() == [0, 0, 1, 1, 2, 0]
+        shapes: dict = {}
+        seen: dict = {}
+        for n in (2, 3, 6):
+            for _ in range(200):
+                tree = random_tree(rng, n)
+                shape = aligner_module._shape_id(tree, variants, shapes)
+                assert seen.setdefault(repr(variant_shape(tree, log)), shape) == shape
+        assert len(set(seen.values())) == len(seen)
+
+    def test_shape_id_walks_a_deep_chain(self):
+        log, tree = chain_log_and_tree(3000)
+        shapes: dict = {}
+        root = aligner_module._shape_id(tree, aligner_module._variant_ids(log), shapes)
+        assert root == len(shapes) - 1 == 2998
+
+    def test_aligns_each_distinct_shape_once(self, monkeypatch):
+        log = generate_log(load_bundled_model("claims"), 30, seed=3)
+        _, _, trees = consensus_oracle(log, ScoringScheme(), 8, 0)
+        distinct = {repr(variant_shape(tree, log)) for tree in trees}
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return progressive_align(*args)
+
+        monkeypatch.setattr(aligner_module, "progressive_align", counted)
+        consensus_reference(log, k=8, seed=0)
+        assert len(calls) == len(distinct) < 8
 
 
 def test_progressive_roundtrips_strip_gaps():
