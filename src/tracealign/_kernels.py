@@ -5,8 +5,10 @@ matrix of pair scores and per-position gap costs.  Pairwise alignment
 and every profile merge run it.  All-pairs scoring (``nw_scores``) runs
 its recurrence for constant scores, keeping only the scores, with the
 same float64 operations, fill order and tie-breaking.  Misalignment
-scoring (``ms_pattern``) and the column statistics are whole-array
-numpy passes.  There is no other backend.
+scoring (``ms_pattern``) scores every pattern of an instance index in
+one blocked pass per alignment, summing each pattern in int64; it and
+the column statistics are whole-array numpy passes.  There is no other
+backend.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ DIAG, UP, LEFT = 0, 1, 2
 # Cell budget of one block of the all-pairs sweep, counted as
 # pairs x (A + B + 1) for the block's longest sides A and B.  It bounds
 # both the rolling diagonals and the gathered codes, so a block's
-# temporaries stay well under a megabyte.  ``ms_pattern`` cuts its rows
-# under the same budget, counted as rows x slots x pattern length x N.
+# temporaries stay well under a megabyte.  ``ms_pattern`` cuts its work
+# under the same budget, counted as (N, N) pair tables and as instance
+# rows x pattern length x N, but never below one (N, N) table.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -186,52 +189,78 @@ def traceback(ptr):
 
 
 # ---------------------------------------------------------------------------
-# Misalignment scoring for one pattern.
+# Misalignment scoring for many patterns at once.
 
 
-def ms_pattern(starts, n_starts, col_of, codes_grid, pat_len, in_pattern):
-    """Sum of pairwise misalignment contributions for one pattern.
+def ms_pattern(starts, slot_pattern, pat_len, member, col_of, codes_grid):
+    """Summed misalignment of the matched instance pairs of every pattern.
 
-    starts:     (N, S) instance start ordinals per trace; slots past a
-                trace's count hold any in-range ordinal and are ignored
-    n_starts:   (N,)   instance counts
-    col_of:     (N, W) ordinal -> column map
-    codes_grid: (N, L) activity codes with -1 gaps
-    in_pattern: (K,)   membership mask over the alphabet
+    starts:       (G, N) start ordinal of the instance in slot g of each
+                  trace, -1 where the trace has no instance in that slot
+    slot_pattern: (G,)   pattern of each slot, non-decreasing
+    pat_len:      (P,)   pattern lengths
+    member:       (P, K+1) membership over the alphabet; the last column
+                  is False, so a gap code of -1 reads it
+    col_of:       (N, W) ordinal -> column map
+    codes_grid:   (N, L) activity codes with -1 gaps
 
-    Instance t of trace i is bad against trace j when one of its columns
-    holds a gap or an activity outside the pattern in row j.  A matched
-    pair (i, j, t), t < min(c_i, c_j), adds the column distance of the
-    two starts plus bad[i, t, j] | bad[j, t, i]; each pair also adds
-    |c_i - c_j| for its unmatched instances.  Every term is an integer,
-    so the sum runs in int64.  The diagonal adds 0, so the sum over
-    i < j is half the sum over all ordered pairs.  Rows are processed in
-    blocks under ``_BLOCK_CELLS``.
+    A slot holds the t-th instance of one pattern in every trace that has
+    t + 1 or more, so two traces' instances in one slot are a matched
+    pair.  Instance x is bad against row j when one of its columns holds
+    a gap or an activity outside its pattern in row j.  A matched pair
+    (x, y) adds the column distance of the two starts plus
+    bad[x, row y] | bad[y, row x].  Every term is an integer, so each
+    pattern's sum over unordered pairs comes out in int64; the count of
+    unmatched instances, which depends only on the log, is not included.
+    Slots are processed in blocks, and their instance rows in chunks,
+    under ``_BLOCK_CELLS`` or one slot's (N, N) pair table, whichever is
+    larger.
     """
-    n, width = starts.shape
-    valid = np.arange(width)[None, :] < n_starts[:, None]
-    # (N, S, m) columns of every instance slot; padded slots read
-    # arbitrary columns and are masked out below.
-    cols = col_of[np.arange(n)[:, None, None], starts[:, :, None] + np.arange(pat_len)]
-    # fits[c, j]: column c of row j holds a pattern activity.  Index -1
-    # (a gap) reads the appended False.
-    fits = np.ascontiguousarray(np.append(in_pattern, False)[codes_grid].T)
-    rows = max(1, _BLOCK_CELLS // (width * pat_len * n))
-    bad = np.empty((n, width, n), dtype=np.bool_)
-    for lo in range(0, n, rows):
-        bad[lo : lo + rows] = ~fits[cols[lo : lo + rows]].all(axis=2)
+    n_slots, n = starts.shape
+    out = np.zeros(pat_len.size, dtype=np.int64)
+    if n_slots == 0:
+        return out
+    valid = starts >= 0
+    slot_len = pat_len[slot_pattern]
+    width = int(slot_len.max())
+    # Instance columns, a pattern shorter than the widest repeating its
+    # last one (repeats leave "every column fits" unchanged).
+    offsets = np.minimum(np.arange(width), slot_len[:, None] - 1)
+    codes_t = np.ascontiguousarray(codes_grid.T)
+    length = codes_t.shape[0]
 
-    first = cols[:, :, 0]
-    both = valid.T[None, :, :]
-    ordered = 0
-    for lo in range(0, n, rows):
-        block = slice(lo, lo + rows)
-        matched = valid[block, :, None] & both
-        distance = np.abs(first[block, :, None] - first.T[None, :, :])
-        either = bad[block] | bad[:, :, block].transpose(2, 1, 0)
-        ordered += int(distance[matched].sum()) + int(np.count_nonzero(either & matched))
-    unmatched = int(np.abs(n_starts[:, None] - n_starts[None, :]).sum())
-    return float((ordered + unmatched) // 2)
+    # Distances: the sum over pairs of |a - b| is sum_k a_(k) (2k - n + 1)
+    # over the n sorted starts; empty slots sort last and weigh 0.
+    first = np.where(valid, col_of[np.arange(n), np.maximum(starts, 0)], np.iinfo(np.int64).max)
+    first.sort(axis=1)
+    n_valid = valid.sum(axis=1)[:, None]
+    rank = np.arange(n)
+    weight = np.where(rank < n_valid, 2 * rank - n_valid + 1, 0)
+    np.add.at(out, slot_pattern, (first * weight).sum(axis=1))
+
+    # A block holds whole slots' (N, N) pair tables, one slot at least, and
+    # a chunk of its instance rows gathers as many (row, column, trace) cells.
+    cells = max(_BLOCK_CELLS, n * n)
+    slots_per_block = cells // (n * n)
+    rows_per_chunk = max(1, cells // (width * n))
+    for lo in range(0, n_slots, slots_per_block):
+        block = slice(lo, lo + slots_per_block)
+        live = np.flatnonzero(valid[block])
+        bad = np.zeros((valid[block].size, n), dtype=np.bool_)
+        for r in range(0, live.size, rows_per_chunk):
+            rows = live[r : r + rows_per_chunk]
+            g, i = lo + rows // n, rows % n
+            cols = col_of[i[:, None], starts[g, i][:, None] + offsets[g]]
+            # Look each (pattern, column) pair up once: fits[u, j] says
+            # whether row j holds an activity of the pattern in that column.
+            keys, which = np.unique(slot_pattern[g][:, None] * length + cols, return_inverse=True)
+            fits = member[keys[:, None] // length, codes_t[keys % length]]
+            bad[rows] = ~fits[which.reshape(cols.shape)].all(axis=1)
+        bad = bad.reshape(-1, n, n)
+        both = valid[block, :, None] & valid[block, None, :]
+        either = (bad | bad.transpose(0, 2, 1)) & both
+        np.add.at(out, slot_pattern[block], either.sum(axis=(1, 2)) // 2)
+    return out
 
 
 # ---------------------------------------------------------------------------

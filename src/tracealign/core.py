@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -301,28 +302,43 @@ class Alignment:
         """
         if len(rows) != len(source):
             raise ValueError(f"{len(rows)} rows for {len(source)} traces")
-        grid = []
-        for i, row in enumerate(rows):
+        widths = np.fromiter((len(row) for row in rows), dtype=np.int64, count=len(rows))
+        ends = np.cumsum(widths)
+        cells = np.fromiter(chain.from_iterable(rows), dtype=object, count=int(widths.sum()))
+        row_of = np.repeat(np.arange(len(rows)), widths)
+        labelled = np.flatnonzero(cells != GAP)
+        row = row_of[labelled]
+        n_labels = np.bincount(row, minlength=len(rows))
+        # Each label's ordinal in its row, and where the activity it must equal sits.
+        ordinal = np.arange(labelled.size) - np.repeat(np.cumsum(n_labels) - n_labels, n_labels)
+        lengths = source.lengths
+        activities = np.fromiter(
+            chain.from_iterable(t.activities for t in source.traces),
+            dtype=object,
+            count=source.total_activities,
+        )
+        beyond = ordinal >= lengths[row]
+        target = np.cumsum(lengths)[row] - lengths[row] + np.where(beyond, 0, ordinal)
+        wrong = labelled[beyond | (cells[labelled] != activities[target])]
+        failing = n_labels < lengths
+        failing[row_of[wrong]] = True
+        if failing.any():
+            i = int(np.argmax(failing))
             trace = source.traces[i]
-            ordinal = 0
-            grid_row = []
-            for j, symbol in enumerate(row):
-                if symbol == GAP:
-                    grid_row.append(-1)
-                    continue
-                if ordinal >= len(trace) or trace.activities[ordinal] != symbol:
-                    raise ValueError(
-                        f"row {i} column {j}: label {symbol!r} does not match "
-                        f"trace {trace.case_id!r}"
-                    )
-                grid_row.append(ordinal)
-                ordinal += 1
-            if ordinal != len(trace):
+            wrong = wrong[row_of[wrong] == i]
+            if wrong.size:
+                # The first label that differs from the trace, or the first extra one.
+                j = int(wrong[0] - (ends[i] - widths[i]))
                 raise ValueError(
-                    f"row {i}: {ordinal} activities, trace {trace.case_id!r} has {len(trace)}"
+                    f"row {i} column {j}: label {rows[i][j]!r} does not match "
+                    f"trace {trace.case_id!r}"
                 )
-            grid.append(grid_row)
-        return cls(source, grid)
+            raise ValueError(
+                f"row {i}: {n_labels[i]} activities, trace {trace.case_id!r} has {len(trace)}"
+            )
+        grid = np.full(cells.size, -1, dtype=np.int64)
+        grid[labelled] = ordinal
+        return cls(source, [grid[end - width : end] for end, width in zip(ends, widths)])
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,12 @@ from .core import (
 )
 from .metrics import (
     METRIC_ORDER,
-    PatternCensus,
     _check_tf_ratio,
+    _eligible,
+    _InstanceIndex,
     _metric_report,
     _weighted_misalignment,
     count_heuristic_errors,
-    extract_patterns,
-    misalignment_score,
 )
 
 __all__ = [
@@ -387,28 +386,35 @@ class CorrelationReport:
 
 
 def _labelled_samples(
-    log: EventLog, scheme: ScoringScheme, samples: int, max_moves: int, seed: int, k: int
-) -> tuple[Alignment, PatternCensus, Iterator[tuple[int, Alignment]]]:
-    """The reference, census and perturbed samples both correlation studies use.
+    log: EventLog,
+    scheme: ScoringScheme,
+    samples: int,
+    max_moves: int,
+    seed: int,
+    k: int,
+    tf_ratio: float,
+) -> tuple[Alignment, _InstanceIndex, Iterator[tuple[int, Alignment]]]:
+    """The reference, instance index and perturbed samples both correlation studies use.
 
-    Returns the consensus reference, the log's pattern census and an
-    iterator over ``(moves, alignment)``: ``samples`` perturbations of
-    the reference with move counts spread evenly over [0, max_moves],
-    each from its own seed.  ``samples`` and ``max_moves`` are checked
-    before the reference is built.
+    Returns the consensus reference, the log's instance index at
+    ``tf_ratio`` and an iterator over ``(moves, alignment)``: ``samples``
+    perturbations of the reference with move counts spread evenly over
+    [0, max_moves], each from its own seed.  ``samples``, ``max_moves``
+    and ``tf_ratio`` are checked before the reference is built.
     """
     if samples < 10:
         raise ValueError(f"samples must be >= 10, got {samples}")
     if max_moves < 0:
         raise ValueError(f"max_moves must be >= 0, got {max_moves}")
+    _check_tf_ratio(tf_ratio)
     reference = consensus_reference(log, scheme, k=k, seed=seed)
-    census = extract_patterns(log)
+    index = _InstanceIndex.of_log(log, tf_ratio)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
     moves = [int(round(v)) for v in np.linspace(0.0, max_moves, samples)]
     draws = (
         (n, perturb(reference, n, sample_seed).alignment) for n, sample_seed in zip(moves, seeds)
     )
-    return reference, census, draws
+    return reference, index, draws
 
 
 def correlation_experiment(
@@ -432,12 +438,14 @@ def correlation_experiment(
     ``DegenerateReferenceError``.  A metric whose correlation is
     undefined is reported with a note instead of aborting the others.
     """
-    reference, census, draws = _labelled_samples(log, scheme, samples, max_moves, seed, k)
+    reference, index, draws = _labelled_samples(
+        log, scheme, samples, max_moves, seed, k, tf_ratio
+    )
     undefined = (ThresholdTooHighError, DegenerateReferenceError)
     points: list[SamplePoint] = []
     for idx, (moves, alignment) in enumerate(draws):
         report = _metric_report(
-            alignment, reference, scheme, tf_ratio, majority=0.5, census=census, undefined=undefined
+            alignment, reference, scheme, tf_ratio, majority=0.5, index=index, undefined=undefined
         )
         points.append(SamplePoint(idx, moves, report.n_e, report.values()))
 
@@ -482,8 +490,9 @@ def tf_ratio_sweep(
     """Correlation of the overall misalignment score at several thresholds.
 
     The perturbed samples are those of :func:`correlation_experiment`,
-    generated once and shared across ratios; each eligible pattern is
-    scored once per sample, so only the eligibility cut and the
+    generated once and shared across ratios; one instance index at the
+    lowest ratio scores every pattern eligible at any ratio in one
+    kernel call per sample, so only the eligibility cut and the
     weighting change between ratios.  Every ratio must lie in (0, 1]; a
     ratio whose eligible set is empty maps to ``None``.
     """
@@ -491,19 +500,19 @@ def tf_ratio_sweep(
         raise ValueError("need at least one tf ratio")
     for ratio in ratios:
         _check_tf_ratio(ratio)
-    reference, census, draws = _labelled_samples(log, scheme, samples, max_moves, seed, k)
-    widest = census.eligible(min(ratios) * census.f_max)
+    reference, index, draws = _labelled_samples(
+        log, scheme, samples, max_moves, seed, k, min(ratios)
+    )
     n_e_values: list[int] = []
-    scores = {pattern: np.empty(samples) for pattern, _ in widest}
+    scores = np.empty((samples, len(index.patterns)))
     for idx, (_, alignment) in enumerate(draws):
         n_e_values.append(count_heuristic_errors(alignment, reference))
-        for pattern, row in scores.items():
-            row[idx] = misalignment_score(alignment, pattern)
+        scores[idx] = index.scores(alignment)
 
     out: dict[float, float | None] = {}
     for ratio in ratios:
         try:
-            series = _weighted_misalignment(census, ratio, scores.__getitem__)
+            series = _weighted_misalignment(index, _eligible(index, ratio), scores.T)
             out[ratio] = pearson(n_e_values, series)
         except (ThresholdTooHighError, UndefinedCorrelationError):
             out[ratio] = None

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,6 +178,31 @@ class PatternCensus:
         return table
 
 
+def _rank_tables(
+    codes: np.ndarray, lengths: np.ndarray, n_types: int, max_len: int
+) -> Iterator[tuple[int, _RankTable, np.ndarray, np.ndarray]]:
+    """(m, rank table, starts, ranks) for each window length m from 2 to ``max_len``.
+
+    ``codes`` are the log's trace codes concatenated and ``lengths`` the
+    trace lengths.  ``starts`` are the flat positions whose trace has m
+    activities left and ``ranks`` the rank of the window at each of them.
+    """
+    # Activities left in each position's trace, its own included.
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(codes.size)
+    starts = np.arange(codes.size)
+    ranks = codes
+    for m in range(2, max_len + 1):
+        room = left[starts] >= m
+        starts = starts[room]
+        # Ranks and codes are below the number of positions, so keys stay
+        # far inside int64 for any log that fits in memory.
+        keys = ranks[room] * n_types + codes[starts + m - 1]
+        keys, first, ranks, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        yield m, _RankTable(keys, counts, starts[first]), starts, ranks
+
+
 def extract_patterns(log: EventLog, min_len: int = 2, max_len: int | None = None) -> PatternCensus:
     """Count every contiguous activity subsequence of bounded length.
 
@@ -199,23 +225,145 @@ def extract_patterns(log: EventLog, min_len: int = 2, max_len: int | None = None
         raise ValueError(f"max_len {max_len} below min_len {min_len}")
 
     codes = np.concatenate(log.trace_codes)
-    lengths = log.lengths
-    # Activities left in each position's trace, its own included.
-    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(codes.size)
-    starts = np.arange(codes.size)
-    ranks = codes
-    tables = []
-    for m in range(2, min(max_len, longest) + 1):
-        room = left[starts] >= m
-        starts = starts[room]
-        # Ranks and codes are below the number of positions, so keys stay
-        # far inside int64 for any log that fits in memory.
-        keys = ranks[room] * len(log.alphabet) + codes[starts + m - 1]
-        keys, first, ranks, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
-        )
-        tables.append(_RankTable(keys, counts, starts[first]))
+    levels = _rank_tables(codes, log.lengths, len(log.alphabet), min(max_len, longest))
+    tables = [table for _, table, _, _ in levels]
     return PatternCensus(log.alphabet, tables, min_len, max_len, codes)
+
+
+class _InstanceIndex:
+    """Patterns of one log with their instances, for batched misalignment scoring.
+
+    ``patterns`` come in census order with their occurrence ``counts``;
+    ``f_max`` is the census's highest count.  Slot g holds the t-th
+    instance of pattern ``slot_pattern[g]`` in every trace that has more
+    than t, and ``starts[g, i]`` is its start ordinal in trace i, -1
+    where there is none.  ``unmatched[p]`` sums |c_i - c_j| over trace
+    pairs for the instance counts c of pattern p.  Everything here
+    depends only on the log, so one index serves every alignment of it.
+    """
+
+    def __init__(
+        self,
+        log: EventLog,
+        patterns: Sequence[Pattern],
+        counts: Sequence[int],
+        f_max: int,
+        instances: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        """``instances`` are (pattern, trace, start) arrays in pattern, trace, start order."""
+        self.patterns = list(patterns)
+        self.counts = list(counts)
+        self.f_max = f_max
+        n, n_patterns = len(log), len(self.patterns)
+        pattern, trace, start = instances
+        # Slot of each instance: its place among its trace's instances.
+        new_run = (pattern[1:] != pattern[:-1]) | (trace[1:] != trace[:-1])
+        run = np.flatnonzero(np.r_[True, new_run])
+        slot = np.arange(pattern.size) - np.repeat(run, np.diff(np.r_[run, pattern.size]))
+        n_slots = np.zeros(n_patterns, dtype=np.int64)
+        np.maximum.at(n_slots, pattern, slot + 1)
+        first_slot = np.cumsum(n_slots) - n_slots
+        self.slot_pattern = np.repeat(np.arange(n_patterns), n_slots)
+        self.starts = np.full((self.slot_pattern.size, n), -1, dtype=np.int64)
+        self.starts[first_slot[pattern] + slot, trace] = start
+        # Unmatched instances: sum over pairs of |c_i - c_j|, from the sorted counts.
+        c = np.bincount(pattern * n + trace, minlength=n_patterns * n).reshape(n_patterns, n)
+        c.sort(axis=1)
+        self.unmatched = (c * (2 * np.arange(n) - n + 1)).sum(axis=1)
+        self.pat_len = np.array([len(p) for p in self.patterns], dtype=np.int64)
+        self.member = np.zeros((n_patterns, len(log.alphabet) + 1), dtype=np.bool_)
+        for p, labels in enumerate(self.patterns):
+            self.member[p, [log.code_of[s] for s in labels if s in log.code_of]] = True
+
+    @classmethod
+    def of_log(cls, log: EventLog, tf_ratio: float) -> "_InstanceIndex":
+        """The default census's patterns counted more than ``min(tf_ratio * f_max, f_max - 1)``.
+
+        They are the most frequent patterns and every pattern
+        :func:`overall_misalignment_score` finds eligible at ``tf_ratio``.
+        :func:`extract_patterns`' loop finds them and stops at the first
+        length with none: extending a window never raises its count.
+        """
+        if len(log) == 0:
+            raise ValueError("cannot extract patterns from an empty log")
+        codes = np.concatenate(log.trace_codes)
+        levels = _rank_tables(codes, log.lengths, len(log.alphabet), log.max_trace_length)
+        shortest = next(levels, None)
+        if shortest is None:
+            raise ValueError("pattern census is empty")
+        _check_tf_ratio(tf_ratio)
+        f_max = int(shortest[1].counts.max())
+        cut = min(tf_ratio * f_max, f_max - 1)
+        patterns: list[Pattern] = []
+        counts: list[int] = []
+        found = []
+        for m, table, starts, ranks in chain([shortest], levels):
+            keep = table.counts > cut
+            if not keep.any():
+                break
+            # Pattern number of every kept rank, in census order.
+            number = np.cumsum(keep) - 1 + len(patterns)
+            windows = codes[table.first[keep, None] + np.arange(m)]
+            patterns.extend(Pattern(log.alphabet[c] for c in row) for row in windows.tolist())
+            counts.extend(table.counts[keep].tolist())
+            hit = keep[ranks]
+            pattern = number[ranks[hit]]
+            # A stable sort keeps each pattern's instances in start order.
+            order = np.argsort(pattern, kind="stable")
+            found.append((pattern[order], starts[hit][order]))
+        pattern = np.concatenate([p for p, _ in found])
+        position = np.concatenate([q for _, q in found])
+        ends = np.cumsum(log.lengths)
+        trace = np.searchsorted(ends, position, side="right")
+        start = position - (ends - log.lengths)[trace]
+        return cls(log, patterns, counts, f_max, (pattern, trace, start))
+
+    @classmethod
+    def of_patterns(
+        cls, log: EventLog, chosen: Sequence[tuple[Pattern, int]], f_max: int
+    ) -> "_InstanceIndex":
+        """The given (pattern, count) entries, each found in ``log`` on its own."""
+        padded = log.padded_codes
+        found = []
+        for p, (pattern, _) in enumerate(chosen):
+            if any(s not in log.code_of for s in pattern):
+                continue
+            span = padded.shape[1] - len(pattern) + 1
+            if span <= 0:
+                continue
+            # One sliding-window comparison; the -1 padding never matches.
+            hits = padded[:, :span] == log.code_of[pattern[0]]
+            for u in range(1, len(pattern)):
+                hits &= padded[:, u : u + span] == log.code_of[pattern[u]]
+            trace, start = np.nonzero(hits)
+            found.append((np.full(trace.size, p), trace, start))
+        instances = tuple(
+            np.concatenate([f[k] for f in found]) if found else np.zeros(0, dtype=np.int64)
+            for k in range(3)
+        )
+        return cls(log, [p for p, _ in chosen], [n for _, n in chosen], f_max, instances)
+
+    @classmethod
+    def of_census(cls, census: PatternCensus, log: EventLog, tf_ratio: float) -> "_InstanceIndex":
+        """:meth:`of_log`'s patterns, read from ``census``, found in ``log``."""
+        if not census:
+            raise ValueError("pattern census is empty")
+        _check_tf_ratio(tf_ratio)
+        cut = min(tf_ratio * census.f_max, census.f_max - 1)
+        return cls.of_patterns(log, census.eligible(cut), census.f_max)
+
+    def scores(self, alignment: Alignment) -> list[float]:
+        """:func:`misalignment_score` of every indexed pattern, from one kernel call."""
+        require_valid(alignment)
+        matched = _kernels.ms_pattern(
+            self.starts,
+            self.slot_pattern,
+            self.pat_len,
+            self.member,
+            alignment.column_of,
+            alignment.codes,
+        )
+        return (matched + self.unmatched).astype(np.float64).tolist()
 
 
 def ref_free_sps(alignment: Alignment, scheme: ScoringScheme = DEFAULT_SCHEME) -> float:
@@ -291,42 +439,7 @@ def misalignment_score(alignment: Alignment, pattern: Sequence[str]) -> float:
     """
     require_valid(alignment)
     pattern = Pattern(pattern)
-    log = alignment.source
-    code_of = log.code_of
-    if any(s not in code_of for s in pattern):
-        return 0.0
-    pattern_codes = np.array([code_of[s] for s in pattern], dtype=np.int64)
-
-    # Instance starts of every trace from one sliding-window comparison;
-    # the -1 padding never matches a pattern code.
-    m = pattern_codes.size
-    padded = log.padded_codes
-    span = padded.shape[1] - m + 1
-    if span <= 0:
-        return 0.0
-    hits = padded[:, :span] == pattern_codes[0]
-    for u in range(1, m):
-        hits &= padded[:, u : u + span] == pattern_codes[u]
-    n_starts = np.count_nonzero(hits, axis=1)
-    if n_starts.sum() == 0:
-        return 0.0
-    rows, starts = np.nonzero(hits)
-    slot = np.arange(rows.size) - (np.cumsum(n_starts) - n_starts)[rows]
-    starts_padded = np.zeros((len(log), int(n_starts.max())), dtype=np.int64)
-    starts_padded[rows, slot] = starts
-
-    in_pattern = np.zeros(len(log.alphabet), dtype=np.bool_)
-    in_pattern[pattern_codes] = True
-    return float(
-        _kernels.ms_pattern(
-            starts_padded,
-            n_starts,
-            alignment.column_of,
-            alignment.codes,
-            m,
-            in_pattern,
-        )
-    )
+    return _InstanceIndex.of_patterns(alignment.source, [(pattern, 0)], 0).scores(alignment)[0]
 
 
 def overall_misalignment_score(
@@ -340,10 +453,9 @@ def overall_misalignment_score(
     are eligible; each contributes its misalignment score weighted by
     its frequency relative to the most frequent pattern.
     """
-    if not census:
-        raise ValueError("pattern census is empty")
-    _check_tf_ratio(tf_ratio)
-    return _weighted_misalignment(census, tf_ratio, lambda p: misalignment_score(alignment, p))
+    index = _InstanceIndex.of_census(census, alignment.source, tf_ratio)
+    chosen = _eligible(index, tf_ratio)
+    return _weighted_misalignment(index, chosen, index.scores(alignment))
 
 
 def _check_tf_ratio(tf_ratio: float) -> None:
@@ -351,26 +463,29 @@ def _check_tf_ratio(tf_ratio: float) -> None:
         raise ValueError(f"tf_ratio must be in (0, 1], got {tf_ratio}")
 
 
-def _weighted_misalignment(
-    census: PatternCensus,
-    tf_ratio: float,
-    score: Callable[[Pattern], float | np.ndarray],
-) -> float | np.ndarray:
-    """The eligibility cut and weighting of :func:`overall_misalignment_score`.
-
-    ``score(pattern)`` gives a pattern's misalignment: a float, or an
-    array holding one per alignment, which yields one OMS per alignment
-    with each element computed by the same float operations.
-    """
-    threshold = tf_ratio * census.f_max
-    chosen = census.eligible(threshold)
+def _eligible(index: _InstanceIndex, tf_ratio: float) -> list[int]:
+    """Positions in ``index`` of the patterns counted more than ``tf_ratio * f_max``."""
+    threshold = tf_ratio * index.f_max
+    chosen = [p for p, f_p in enumerate(index.counts) if f_p > threshold]
     if not chosen:
         raise ThresholdTooHighError(
             f"no pattern occurs more than {threshold:g} times; lower tf_ratio below {tf_ratio}"
         )
+    return chosen
+
+
+def _weighted_misalignment(
+    index: _InstanceIndex, chosen: Sequence[int], scores: Sequence[float | np.ndarray]
+) -> float | np.ndarray:
+    """The weighting of :func:`overall_misalignment_score` over ``chosen`` patterns.
+
+    ``scores[p]`` is pattern p's misalignment: a float, or an array
+    holding one per alignment, which yields one OMS per alignment with
+    each element computed by the same float operations.
+    """
     total = 0.0
-    for pattern, f_p in chosen:
-        total += score(pattern) * (f_p / census.f_max)
+    for p in chosen:
+        total += scores[p] * (index.counts[p] / index.f_max)
     return total / len(chosen)
 
 
@@ -525,10 +640,15 @@ def evaluate_alignment(
 
     Reference-based metrics are filled only when a reference sharing the
     source log is supplied.  The pattern census defaults to the source
-    log's full census and can be passed in when evaluating many
-    alignments of the same log.
+    log's full census, of which only the patterns OMS and ``ms_top`` read
+    are counted; a census passed in gives the patterns and counts instead.
     """
-    return _metric_report(alignment, reference, scheme, tf_ratio, majority, census, undefined=())
+    require_valid(alignment)
+    if census is None:
+        index = _InstanceIndex.of_log(alignment.source, tf_ratio)
+    else:
+        index = _InstanceIndex.of_census(census, alignment.source, tf_ratio)
+    return _metric_report(alignment, reference, scheme, tf_ratio, majority, index, undefined=())
 
 
 def _metric_report(
@@ -537,29 +657,30 @@ def _metric_report(
     scheme: ScoringScheme,
     tf_ratio: float,
     majority: float,
-    census: PatternCensus | None,
+    index: _InstanceIndex,
     undefined: tuple[type[Exception], ...],
 ) -> MetricReport:
     """:func:`evaluate_alignment`'s body, reading the ``undefined`` errors as ``None``.
 
-    Only OMS and ``ref_based_sps`` can read as ``None``; ``()`` lets every error out.
+    ``index`` must cover the patterns OMS reads at ``tf_ratio`` and the
+    top pattern.  Only OMS and ``ref_based_sps`` can read as ``None``;
+    ``()`` lets every error out.
     """
-    require_valid(alignment)
-    if census is None:
-        census = extract_patterns(alignment.source)
-    top = most_frequent_pattern(census)
+    scores = index.scores(alignment)
+    # The first pattern at f_max in census order is most_frequent_pattern's.
+    top = index.counts.index(index.f_max)
     try:
-        oms = overall_misalignment_score(alignment, census, tf_ratio)
+        oms = _weighted_misalignment(index, _eligible(index, tf_ratio), scores)
     except undefined:
         oms = None
     report = MetricReport(
         ref_free_sps=ref_free_sps(alignment, scheme),
-        ms_top=misalignment_score(alignment, top),
+        ms_top=scores[top],
         oms=oms,
         ois=overall_information_score(alignment),
         complexity=alignment_complexity(alignment),
         consensus=consensus_sequence(alignment, majority),
-        top_pattern=top,
+        top_pattern=index.patterns[top],
         tf_ratio=tf_ratio,
         majority=majority,
         scheme=scheme,

@@ -20,7 +20,9 @@ counts tuple windows in a ``Counter``.  The guide-tree walk oracles
 recurse over the tree: one lists its leaves, the other folds a merge
 function bottom-up.  The consensus oracle is a frozen copy of the
 best-of-k loop that aligns and scores every candidate, and the distance
-oracle scores every trace pair with ``nw_fill``.
+oracle scores every trace pair with ``nw_fill``.  The label-rows oracle
+is a frozen copy of the cell-by-cell loop that built a grid from label
+rows, with its error messages.
 """
 
 import itertools
@@ -400,3 +402,31 @@ def distance_oracle(log, match, mismatch, gap):
             best = match * min(codes[i].size, codes[j].size)
             d[i, j] = min(max(1.0 - score / best, 0.0), 1.0) if best > 0 else 1.0
     return d
+
+
+def label_rows_oracle(log, rows):
+    """Grid rows from label rows, one cell at a time, or the ValueError naming the first fault."""
+    if len(rows) != len(log):
+        raise ValueError(f"{len(rows)} rows for {len(log)} traces")
+    grid = []
+    for i, row in enumerate(rows):
+        trace = log.traces[i]
+        ordinal = 0
+        grid_row = []
+        for j, symbol in enumerate(row):
+            if symbol == "-":
+                grid_row.append(-1)
+                continue
+            if ordinal >= len(trace) or trace.activities[ordinal] != symbol:
+                raise ValueError(
+                    f"row {i} column {j}: label {symbol!r} does not match "
+                    f"trace {trace.case_id!r}"
+                )
+            grid_row.append(ordinal)
+            ordinal += 1
+        if ordinal != len(trace):
+            raise ValueError(
+                f"row {i}: {ordinal} activities, trace {trace.case_id!r} has {len(trace)}"
+            )
+        grid.append(grid_row)
+    return grid

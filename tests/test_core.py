@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_log
+from oracles import label_rows_oracle
 from tracealign import (
     Activity,
     Alignment,
@@ -86,6 +87,84 @@ class TestAlignmentStructure:
         assert a.cell(0, 1) is None
         assert a.label_at(0, 1) == "-"
         assert a.label_at(1, 1) == "b"
+
+
+class TestFromLabelRows:
+    """The grid from label rows, and each error message byte for byte."""
+
+    LOG = make_log(("t0", ["a", "b"]), ("c1", ["b", "a", "b"]))
+
+    def test_ordinals_by_position(self):
+        a = Alignment.from_label_rows(self.LOG, [["a", "-", "b", "-"], ["b", "a", "-", "b"]])
+        assert a.grid.tolist() == [[0, -1, 1, -1], [0, 1, -1, 2]]
+
+    def test_ragged_rows_are_rejected(self):
+        with pytest.raises(ValueError):
+            Alignment.from_label_rows(self.LOG, [["a", "b"], ["b", "a", "b"]])
+
+    @pytest.mark.parametrize("rows", [[["a", "b"]], [["a", "b"]] * 3, []])
+    def test_wrong_row_count(self, rows):
+        with pytest.raises(ValueError) as info:
+            Alignment.from_label_rows(self.LOG, rows)
+        assert str(info.value) == f"{len(rows)} rows for 2 traces"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # A wrong label, and a later one in the same row.
+            (
+                [["a", "b", "-"], ["b", "b", "b"]],
+                "row 1 column 1: label 'b' does not match trace 'c1'",
+            ),
+            (
+                [["a", "-", "c"], ["b", "a", "b"]],
+                "row 0 column 2: label 'c' does not match trace 't0'",
+            ),
+            # Too many activities: the first extra one is named.
+            (
+                [["a", "b", "a", "-"], ["b", "a", "b", "-"]],
+                "row 0 column 2: label 'a' does not match trace 't0'",
+            ),
+            (
+                [["a", "b", "-", "-"], ["b", "a", "b", "b"]],
+                "row 1 column 3: label 'b' does not match trace 'c1'",
+            ),
+            # The row before wins, even over a shorter row after it.
+            (
+                [["b", "-", "-"], ["b", "a", "-"]],
+                "row 0 column 0: label 'b' does not match trace 't0'",
+            ),
+            # Too few activities.
+            ([["a", "-", "-"], ["b", "a", "b"]], "row 0: 1 activities, trace 't0' has 2"),
+            ([["a", "b", "-"], ["-", "-", "-"]], "row 1: 0 activities, trace 'c1' has 3"),
+            # A wrong label wins over too few activities.
+            (
+                [["a", "b", "-"], ["b", "-", "b"]],
+                "row 1 column 2: label 'b' does not match trace 'c1'",
+            ),
+        ],
+    )
+    def test_label_errors(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            Alignment.from_label_rows(self.LOG, rows)
+        assert str(info.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_cell_loop(self, data):
+        traces = data.draw(st.lists(st.text("ab", min_size=1, max_size=4), min_size=1, max_size=4))
+        log = make_log(*((f"t{i}", list(t)) for i, t in enumerate(traces)))
+        width = data.draw(st.integers(0, 6))
+        cell = st.sampled_from(["a", "b", "c", "-", "-"])
+        rows = [data.draw(st.lists(cell, min_size=width, max_size=width)) for _ in traces]
+        try:
+            expected = label_rows_oracle(log, rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                Alignment.from_label_rows(log, rows)
+            assert str(info.value) == str(exc)
+        else:
+            assert Alignment.from_label_rows(log, rows).grid.tolist() == expected
 
 
 class TestValidateAlignment:

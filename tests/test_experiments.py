@@ -265,6 +265,11 @@ class TestCorrelationExperiment:
         assert report.notes["oms"] == "metric undefined on some samples"
         assert report.coefficients["ref_based_sps"] is not None
 
+    def test_one_activity_traces_leave_the_census_empty(self):
+        log = EventLog([Trace("t0", ["a"]), Trace("t1", ["b"]), Trace("t2", ["a"])])
+        with pytest.raises(ValueError, match="^pattern census is empty$"):
+            correlation_experiment(log, samples=10, max_moves=3, seed=2, k=2)
+
     def test_reference_without_aligned_pairs_leaves_ref_based_sps_undefined(self):
         # No two traces share an activity, so the consensus pairs nothing.
         log = EventLog([Trace(f"t{i}", list(acts)) for i, acts in enumerate(("abc", "def", "ghi"))])
@@ -292,8 +297,8 @@ class TestCorrelationExperiment:
             assert point.n_e == expected.n_e
 
 
-def _sweep(log, **kwargs):
-    return tf_ratio_sweep(log, (0.4,), **kwargs)
+def _sweep(log, tf_ratio=0.4, **kwargs):
+    return tf_ratio_sweep(log, (tf_ratio,), **kwargs)
 
 
 @pytest.mark.parametrize("study", [correlation_experiment, _sweep])
@@ -316,6 +321,11 @@ class TestStudyParameters:
     def test_rejects_negative_max_moves(self, study, small_log, max_moves):
         with pytest.raises(ValueError, match=f"^max_moves must be >= 0, got {max_moves}$"):
             study(small_log, samples=10, max_moves=max_moves)
+
+    @pytest.mark.parametrize("tf_ratio", [1.5, 0.0, -0.2])
+    def test_rejects_tf_ratio_outside_the_unit_interval(self, study, small_log, tf_ratio):
+        with pytest.raises(ValueError, match=rf"^tf_ratio must be in \(0, 1\], got {tf_ratio}$"):
+            study(small_log, samples=10, max_moves=5, tf_ratio=tf_ratio)
 
 
 class TestTfRatioSweep:

@@ -14,6 +14,8 @@ from oracles import (
     nw_fill,
 )
 from tracealign import (
+    EventLog,
+    Pattern,
     ScoringScheme,
     Trace,
     _kernels,
@@ -22,7 +24,7 @@ from tracealign import (
     progressive_align,
 )
 from tracealign.experiments import perturb
-from tracealign.metrics import misalignment_score
+from tracealign.metrics import _InstanceIndex, misalignment_score
 
 SCHEMES = [(1.0, -1.0, 0.0), (2.0, -0.5, -0.25), (1.0, -1.0, -1.0)]
 # Schemes whose sums round, so a boundary built as a running total differs
@@ -113,15 +115,17 @@ class TestProfileFill:
 
 
 class TestMsPattern:
-    """Misalignment scoring against the per-pair oracle."""
+    """Batched misalignment scoring against the per-pair oracle."""
 
     @pytest.mark.parametrize("moves", [0, 3, 10])
     @pytest.mark.parametrize("block_cells", [None, 8])
     def test_matches_oracle_on_every_census_pattern(self, monkeypatch, moves, block_cells):
         if block_cells is not None:
-            # A tiny budget splits the rows of every pattern into blocks.
+            # A tiny budget puts every slot in a block of its own and
+            # splits its instance rows into chunks.
             monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(70 + moves)
+        checked = 0
         for case in range(25):
             n_types = int(rng.integers(1, 5))
             log = random_log(
@@ -134,9 +138,41 @@ class TestMsPattern:
             if log.max_trace_length < 2:
                 continue
             alignment = perturb(progressive_align(log), moves, seed=case).alignment
-            for pattern, _ in extract_patterns(log).items():
-                expected = misalignment_oracle(alignment, pattern)
-                assert misalignment_score(alignment, pattern) == expected
+            census = extract_patterns(log)
+            # A ratio this small indexes the whole census through the rank loop.
+            index = _InstanceIndex.of_log(log, 1e-9)
+            assert list(zip(index.patterns, index.counts)) == list(census.items())
+            expected = [misalignment_oracle(alignment, p) for p in index.patterns]
+            assert index.scores(alignment) == expected
+            found = _InstanceIndex.of_patterns(log, list(census.items()), census.f_max)
+            assert found.scores(alignment) == expected
+            for pattern, score in zip(index.patterns, expected):
+                assert misalignment_score(alignment, pattern) == score
+            checked += len(expected)
+        assert checked > 100
+
+    def test_sums_stay_integral_in_int64(self):
+        log = EventLog([Trace(f"t{i}", list("abab")) for i in range(3)])
+        alignment = perturb(progressive_align(log), 4, seed=1).alignment
+        index = _InstanceIndex.of_log(log, 0.4)
+        matched = _kernels.ms_pattern(
+            index.starts,
+            index.slot_pattern,
+            index.pat_len,
+            index.member,
+            alignment.column_of,
+            alignment.codes,
+        )
+        assert matched.dtype == np.int64 and matched.shape == (len(index.patterns),)
+        assert all(type(v) is float for v in index.scores(alignment))
+
+    def test_pattern_without_instances_scores_zero(self):
+        log = EventLog([Trace("t0", list("ab")), Trace("t1", list("ba"))])
+        alignment = progressive_align(log)
+        chosen = [(Pattern("ba"), 1), (Pattern("zz"), 0), (Pattern("abc"), 0)]
+        index = _InstanceIndex.of_patterns(log, chosen, 1)
+        assert index.starts.shape == (1, 2)
+        assert index.scores(alignment) == [misalignment_oracle(alignment, "ba"), 0.0, 0.0]
 
 
 def pad(sequences):

@@ -12,6 +12,7 @@ from oracles import (
     census_oracle,
     column_score_oracle,
     heuristic_errors_oracle,
+    misalignment_oracle,
     ref_based_sps_oracle,
 )
 from tracealign import (
@@ -41,6 +42,7 @@ from tracealign import (
     ref_based_sps,
     ref_free_sps,
 )
+from tracealign.metrics import _InstanceIndex
 
 
 def make_log(*rows) -> EventLog:
@@ -375,6 +377,53 @@ class TestMisalignmentScore:
             misalignment_score(a, ("a",))
 
 
+class TestInstanceIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_holds_the_census_patterns_above_the_cut(self, data):
+        n_types = data.draw(st.integers(1, 3))
+        traces = data.draw(
+            st.lists(st.text("abc"[:n_types], min_size=1, max_size=10), min_size=1, max_size=6)
+        )
+        log = make_log(*((f"t{i}", t) for i, t in enumerate(traces)))
+        tf_ratio = data.draw(st.sampled_from([0.05, 0.2, 0.4, 0.7, 1.0]))
+        census = extract_patterns(log)
+        if not census:
+            with pytest.raises(ValueError, match="census is empty"):
+                _InstanceIndex.of_log(log, tf_ratio)
+            return
+        index = _InstanceIndex.of_log(log, tf_ratio)
+        cut = min(tf_ratio * census.f_max, census.f_max - 1)
+        assert list(zip(index.patterns, index.counts)) == census.eligible(cut)
+        assert index.f_max == census.f_max
+        # Instances, trace by trace, in start order.
+        for p, pattern in enumerate(index.patterns):
+            for i, trace in enumerate(log.traces):
+                labels = tuple(trace.activities)
+                starts = [s for s in range(len(labels)) if labels[s : s + len(pattern)] == pattern]
+                assert index.starts[index.slot_pattern == p, i].tolist()[: len(starts)] == starts
+                assert (index.starts[index.slot_pattern == p, i][len(starts) :] == -1).all()
+
+    def test_window_as_long_as_the_longest_trace(self):
+        # Every window of "abcab" occurs in all three traces, so the loop
+        # runs out of lengths with windows still above the cut.
+        log = make_log(("t0", "abcab"), ("t1", "abcab"), ("t2", "abcab"), ("t3", "ca"))
+        census = extract_patterns(log)
+        index = _InstanceIndex.of_log(log, 0.4)
+        assert max(len(p) for p in index.patterns) == log.max_trace_length == 5
+        assert list(zip(index.patterns, index.counts)) == census.eligible(0.4 * census.f_max)
+        a = perturb(progressive_align(log), 6, seed=3).alignment
+        assert index.scores(a) == [misalignment_oracle(a, p) for p in index.patterns]
+        assert evaluate_alignment(a) == evaluate_alignment(a, census=census)
+
+    def test_stops_at_the_first_length_without_an_eligible_window(self):
+        # Only (a, b) clears the cut; no length-3 window is looked at.
+        log = make_log(("t0", "abxab"), ("t1", "abyab"), ("t2", "ab"))
+        index = _InstanceIndex.of_log(log, 0.4)
+        assert index.patterns == [Pattern("ab")] and index.counts == [5]
+        assert index.unmatched.tolist() == [2]
+
+
 class TestOverallMisalignmentScore:
     def test_single_eligible_pattern_passes_through(self):
         # (x, y) occurs 3 times, every other pattern once; with
@@ -667,6 +716,55 @@ class TestEvaluateAlignment:
                 evaluate_alignment(**kwargs)
             kwargs[name] = mended
         assert evaluate_alignment(**kwargs).n_e == 0
+
+    @pytest.mark.parametrize("tf_ratio", [0.2, 0.4, 1.0])
+    def test_index_of_the_log_equals_a_passed_census(self, tf_ratio):
+        rng = np.random.default_rng(41)
+        for case in range(12):
+            log = random_log(rng, n_traces=int(rng.integers(2, 6)), min_len=2, max_len=9,
+                             alphabet=("a", "b", "c"))
+            a = perturb(progressive_align(log), int(rng.integers(0, 8)), seed=case).alignment
+            reports = []
+            for census in (None, extract_patterns(log), extract_patterns(log, 3, 4)):
+                try:
+                    reports.append(evaluate_alignment(a, a, tf_ratio=tf_ratio, census=census))
+                except (ThresholdTooHighError, ValueError) as exc:
+                    reports.append(str(exc))
+            expected = self.oracle_report(a, extract_patterns(log), tf_ratio)
+            assert reports[0] == reports[1] == expected
+            assert reports[2] == self.oracle_report(a, extract_patterns(log, 3, 4), tf_ratio)
+
+    @staticmethod
+    def oracle_report(a, census, tf_ratio):
+        """OMS and ms_top from ``census`` and the per-pair oracle, or the error."""
+        if not census:
+            return "pattern census is empty"
+        chosen = [(p, n) for p, n in census.items() if n > tf_ratio * census.f_max]
+        if not chosen:
+            threshold = tf_ratio * census.f_max
+            return f"no pattern occurs more than {threshold:g} times; lower tf_ratio below {tf_ratio}"
+        total = 0.0
+        for p, n in chosen:
+            total += misalignment_oracle(a, p) * (n / census.f_max)
+        # Highest count, then shortest, then first in label order.
+        top = min(census.items(), key=lambda entry: (-entry[1], len(entry[0]), entry[0]))[0]
+        report = evaluate_alignment(a, a, tf_ratio=tf_ratio, census=census)
+        assert report.top_pattern == top == most_frequent_pattern(census)
+        assert report.ms_top == misalignment_oracle(a, top)
+        assert report.oms == total / len(chosen)
+        return report
+
+    @pytest.mark.parametrize("census", [None, "full"])
+    def test_one_activity_traces_leave_the_census_empty_first(self, census):
+        log = make_log(("t0", "a"), ("t1", "b"))
+        a = Alignment(log, [[0, -1], [-1, 0]])
+        census = extract_patterns(log) if census else None
+        with pytest.raises(ValueError, match="^pattern census is empty$"):
+            evaluate_alignment(a, tf_ratio=1.5, majority=0.0, census=census)
+        with pytest.raises(ValueError, match="^pattern census is empty$"):
+            evaluate_alignment(a, census=census)
+        with pytest.raises(ValueError, match="^cannot extract patterns from an empty log$"):
+            evaluate_alignment(Alignment(EventLog([]), np.zeros((0, 0))), census=None)
 
     def test_complexity_bounds_ordering(self):
         log = make_log(("t0", "abc"), ("t1", "abc"), ("t2", "ac"))
