@@ -205,13 +205,20 @@ class Alignment:
 
     ``grid[i, j]`` is ``-1`` for a gap, otherwise the ordinal of the
     activity of trace ``i`` placed in column ``j``.  Construction only
-    checks shape; semantic invariants (ordinal order, no all-gap
-    columns, minimum length) are checked by :func:`validate_alignment`
-    so that broken grids can be inspected rather than merely rejected.
+    checks shape and that every value is an integer; semantic invariants
+    (ordinal order, no all-gap columns, minimum length) are checked by
+    :func:`validate_alignment` so that broken grids can be inspected
+    rather than merely rejected.
     """
 
     def __init__(self, source: EventLog, grid: np.ndarray | Sequence[Sequence[int]]) -> None:
-        arr = np.array(grid, dtype=np.int64)
+        values = np.asarray(grid)
+        # NaN, infinities and floats past int64 cast to garbage, which the check below refuses.
+        with np.errstate(invalid="ignore"):
+            arr = np.array(values, dtype=np.int64)
+        if values.dtype.kind == "f" and not np.array_equal(arr, values):
+            bad = values[arr != values].flat[0]
+            raise ValueError(f"grid value {bad.item()!r} is not an int64 integer")
         if arr.ndim != 2:
             raise ValueError(f"grid must be 2-dimensional, got shape {arr.shape}")
         if arr.shape[0] != len(source):

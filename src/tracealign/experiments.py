@@ -31,6 +31,7 @@ from .metrics import (
     METRIC_ORDER,
     _check_tf_ratio,
     _eligible,
+    _frequent_census,
     _InstanceIndex,
     _metric_report,
     _weighted_misalignment,
@@ -408,7 +409,7 @@ def _labelled_samples(
         raise ValueError(f"max_moves must be >= 0, got {max_moves}")
     _check_tf_ratio(tf_ratio)
     reference = consensus_reference(log, scheme, k=k, seed=seed)
-    index = _InstanceIndex.of_log(log, tf_ratio)
+    index = _InstanceIndex.of_census(_frequent_census(log, tf_ratio), log, tf_ratio)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
     moves = [int(round(v)) for v in np.linspace(0.0, max_moves, samples)]
     draws = (

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import islice, takewhile
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -180,18 +180,18 @@ class PatternCensus:
 
 def _rank_tables(
     codes: np.ndarray, lengths: np.ndarray, n_types: int, max_len: int
-) -> Iterator[tuple[int, _RankTable, np.ndarray, np.ndarray]]:
-    """(m, rank table, starts, ranks) for each window length m from 2 to ``max_len``.
+) -> Iterator[_RankTable]:
+    """The rank table of each window length from 2 to ``max_len``.
 
     ``codes`` are the log's trace codes concatenated and ``lengths`` the
-    trace lengths.  ``starts`` are the flat positions whose trace has m
-    activities left and ``ranks`` the rank of the window at each of them.
+    trace lengths.
     """
     # Activities left in each position's trace, its own included.
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(codes.size)
     starts = np.arange(codes.size)
     ranks = codes
     for m in range(2, max_len + 1):
+        # Keep the starts whose trace has m activities left.
         room = left[starts] >= m
         starts = starts[room]
         # Ranks and codes are below the number of positions, so keys stay
@@ -200,7 +200,7 @@ def _rank_tables(
         keys, first, ranks, counts = np.unique(
             keys, return_index=True, return_inverse=True, return_counts=True
         )
-        yield m, _RankTable(keys, counts, starts[first]), starts, ranks
+        yield _RankTable(keys, counts, starts[first])
 
 
 def extract_patterns(log: EventLog, min_len: int = 2, max_len: int | None = None) -> PatternCensus:
@@ -225,132 +225,91 @@ def extract_patterns(log: EventLog, min_len: int = 2, max_len: int | None = None
         raise ValueError(f"max_len {max_len} below min_len {min_len}")
 
     codes = np.concatenate(log.trace_codes)
-    levels = _rank_tables(codes, log.lengths, len(log.alphabet), min(max_len, longest))
-    tables = [table for _, table, _, _ in levels]
+    tables = list(_rank_tables(codes, log.lengths, len(log.alphabet), min(max_len, longest)))
     return PatternCensus(log.alphabet, tables, min_len, max_len, codes)
+
+
+def _frequent_census(log: EventLog, tf_ratio: float) -> PatternCensus:
+    """The default census, cut after the last length with a pattern
+    counted more than ``min(tf_ratio * f_max, f_max - 1)``.
+
+    Those patterns are the most frequent ones and every pattern
+    :func:`overall_misalignment_score` finds eligible at ``tf_ratio``.
+    Extending a window never raises its count, so the loop stops at the
+    first length without one.
+    """
+    if len(log) == 0:
+        raise ValueError("cannot extract patterns from an empty log")
+    codes = np.concatenate(log.trace_codes)
+    levels = _rank_tables(codes, log.lengths, len(log.alphabet), log.max_trace_length)
+    tables = list(islice(levels, 1))
+    if not tables:
+        raise ValueError("pattern census is empty")
+    _check_tf_ratio(tf_ratio)
+    f_max = int(tables[0].counts.max())
+    cut = min(tf_ratio * f_max, f_max - 1)
+    tables.extend(takewhile(lambda table: table.counts.max() > cut, levels))
+    return PatternCensus(log.alphabet, tables, 2, len(tables) + 1, codes)
 
 
 class _InstanceIndex:
     """Patterns of one log with their instances, for batched misalignment scoring.
 
-    ``patterns`` come in census order with their occurrence ``counts``;
-    ``f_max`` is the census's highest count.  Slot g holds the t-th
-    instance of pattern ``slot_pattern[g]`` in every trace that has more
-    than t, and ``starts[g, i]`` is its start ordinal in trace i, -1
-    where there is none.  ``unmatched[p]`` sums |c_i - c_j| over trace
-    pairs for the instance counts c of pattern p.  Everything here
-    depends only on the log, so one index serves every alignment of it.
+    ``patterns`` come with their occurrence ``counts``; ``f_max`` is the
+    census's highest count.  Slot g holds the t-th instance of pattern
+    ``slot_pattern[g]`` in every trace that has more than t, and
+    ``starts[g, i]`` is its start ordinal in trace i, -1 where there is
+    none.  ``unmatched[p]`` sums |c_i - c_j| over trace pairs for the
+    instance counts c of pattern p.  Everything here depends only on the
+    log, so one index serves every alignment of it.
     """
 
-    def __init__(
-        self,
-        log: EventLog,
-        patterns: Sequence[Pattern],
-        counts: Sequence[int],
-        f_max: int,
-        instances: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        """``instances`` are (pattern, trace, start) arrays in pattern, trace, start order."""
-        self.patterns = list(patterns)
-        self.counts = list(counts)
+    def __init__(self, log: EventLog, entries: Sequence[tuple[Pattern, int]], f_max: int) -> None:
+        """Find each (pattern, count) entry's instances in ``log`` by one sliding-window match."""
+        self.patterns = [p for p, _ in entries]
+        self.counts = [n for _, n in entries]
         self.f_max = f_max
         n, n_patterns = len(log), len(self.patterns)
-        pattern, trace, start = instances
-        # Slot of each instance: its place among its trace's instances.
-        new_run = (pattern[1:] != pattern[:-1]) | (trace[1:] != trace[:-1])
-        run = np.flatnonzero(np.r_[True, new_run])
-        slot = np.arange(pattern.size) - np.repeat(run, np.diff(np.r_[run, pattern.size]))
-        n_slots = np.zeros(n_patterns, dtype=np.int64)
-        np.maximum.at(n_slots, pattern, slot + 1)
+        padded = log.padded_codes
+        c = np.zeros((n_patterns, n), dtype=np.int64)
+        self.member = np.zeros((n_patterns, len(log.alphabet) + 1), dtype=np.bool_)
+        found = []
+        for p, pattern in enumerate(self.patterns):
+            # Labels outside the log get a code that, like the -1 padding, never matches.
+            codes = [log.code_of.get(s, -2) for s in pattern]
+            self.member[p, [code for code in codes if code >= 0]] = True
+            span = max(padded.shape[1] - len(pattern) + 1, 0)
+            hits = padded[:, :span] == codes[0]
+            for u in range(1, len(pattern)):
+                hits &= padded[:, u : u + span] == codes[u]
+            trace, start = np.nonzero(hits)
+            # Slot of each instance: its place among its trace's instances.
+            found.append((np.arange(trace.size) - np.searchsorted(trace, trace), trace, start))
+            c[p] = np.bincount(trace, minlength=n)
+        n_slots = c.max(axis=1, initial=0)
         first_slot = np.cumsum(n_slots) - n_slots
         self.slot_pattern = np.repeat(np.arange(n_patterns), n_slots)
         self.starts = np.full((self.slot_pattern.size, n), -1, dtype=np.int64)
-        self.starts[first_slot[pattern] + slot, trace] = start
+        for p, (slot, trace, start) in enumerate(found):
+            self.starts[first_slot[p] + slot, trace] = start
         # Unmatched instances: sum over pairs of |c_i - c_j|, from the sorted counts.
-        c = np.bincount(pattern * n + trace, minlength=n_patterns * n).reshape(n_patterns, n)
         c.sort(axis=1)
         self.unmatched = (c * (2 * np.arange(n) - n + 1)).sum(axis=1)
         self.pat_len = np.array([len(p) for p in self.patterns], dtype=np.int64)
-        self.member = np.zeros((n_patterns, len(log.alphabet) + 1), dtype=np.bool_)
-        for p, labels in enumerate(self.patterns):
-            self.member[p, [log.code_of[s] for s in labels if s in log.code_of]] = True
-
-    @classmethod
-    def of_log(cls, log: EventLog, tf_ratio: float) -> "_InstanceIndex":
-        """The default census's patterns counted more than ``min(tf_ratio * f_max, f_max - 1)``.
-
-        They are the most frequent patterns and every pattern
-        :func:`overall_misalignment_score` finds eligible at ``tf_ratio``.
-        :func:`extract_patterns`' loop finds them and stops at the first
-        length with none: extending a window never raises its count.
-        """
-        if len(log) == 0:
-            raise ValueError("cannot extract patterns from an empty log")
-        codes = np.concatenate(log.trace_codes)
-        levels = _rank_tables(codes, log.lengths, len(log.alphabet), log.max_trace_length)
-        shortest = next(levels, None)
-        if shortest is None:
-            raise ValueError("pattern census is empty")
-        _check_tf_ratio(tf_ratio)
-        f_max = int(shortest[1].counts.max())
-        cut = min(tf_ratio * f_max, f_max - 1)
-        patterns: list[Pattern] = []
-        counts: list[int] = []
-        found = []
-        for m, table, starts, ranks in chain([shortest], levels):
-            keep = table.counts > cut
-            if not keep.any():
-                break
-            # Pattern number of every kept rank, in census order.
-            number = np.cumsum(keep) - 1 + len(patterns)
-            windows = codes[table.first[keep, None] + np.arange(m)]
-            patterns.extend(Pattern(log.alphabet[c] for c in row) for row in windows.tolist())
-            counts.extend(table.counts[keep].tolist())
-            hit = keep[ranks]
-            pattern = number[ranks[hit]]
-            # A stable sort keeps each pattern's instances in start order.
-            order = np.argsort(pattern, kind="stable")
-            found.append((pattern[order], starts[hit][order]))
-        pattern = np.concatenate([p for p, _ in found])
-        position = np.concatenate([q for _, q in found])
-        ends = np.cumsum(log.lengths)
-        trace = np.searchsorted(ends, position, side="right")
-        start = position - (ends - log.lengths)[trace]
-        return cls(log, patterns, counts, f_max, (pattern, trace, start))
-
-    @classmethod
-    def of_patterns(
-        cls, log: EventLog, chosen: Sequence[tuple[Pattern, int]], f_max: int
-    ) -> "_InstanceIndex":
-        """The given (pattern, count) entries, each found in ``log`` on its own."""
-        padded = log.padded_codes
-        found = []
-        for p, (pattern, _) in enumerate(chosen):
-            if any(s not in log.code_of for s in pattern):
-                continue
-            span = padded.shape[1] - len(pattern) + 1
-            if span <= 0:
-                continue
-            # One sliding-window comparison; the -1 padding never matches.
-            hits = padded[:, :span] == log.code_of[pattern[0]]
-            for u in range(1, len(pattern)):
-                hits &= padded[:, u : u + span] == log.code_of[pattern[u]]
-            trace, start = np.nonzero(hits)
-            found.append((np.full(trace.size, p), trace, start))
-        instances = tuple(
-            np.concatenate([f[k] for f in found]) if found else np.zeros(0, dtype=np.int64)
-            for k in range(3)
-        )
-        return cls(log, [p for p, _ in chosen], [n for _, n in chosen], f_max, instances)
 
     @classmethod
     def of_census(cls, census: PatternCensus, log: EventLog, tf_ratio: float) -> "_InstanceIndex":
-        """:meth:`of_log`'s patterns, read from ``census``, found in ``log``."""
+        """The patterns of ``census`` counted more than ``min(tf_ratio * f_max, f_max - 1)``,
+        in census order, found in ``log``.
+
+        They are the most frequent patterns and every pattern
+        :func:`overall_misalignment_score` finds eligible at ``tf_ratio``.
+        """
         if not census:
             raise ValueError("pattern census is empty")
         _check_tf_ratio(tf_ratio)
         cut = min(tf_ratio * census.f_max, census.f_max - 1)
-        return cls.of_patterns(log, census.eligible(cut), census.f_max)
+        return cls(log, census.eligible(cut), census.f_max)
 
     def scores(self, alignment: Alignment) -> list[float]:
         """:func:`misalignment_score` of every indexed pattern, from one kernel call."""
@@ -439,7 +398,7 @@ def misalignment_score(alignment: Alignment, pattern: Sequence[str]) -> float:
     """
     require_valid(alignment)
     pattern = Pattern(pattern)
-    return _InstanceIndex.of_patterns(alignment.source, [(pattern, 0)], 0).scores(alignment)[0]
+    return _InstanceIndex(alignment.source, [(pattern, 0)], 0).scores(alignment)[0]
 
 
 def overall_misalignment_score(
@@ -521,6 +480,8 @@ def overall_information_score(alignment: Alignment) -> float:
     Algebraically the mean of the per-column information scores.
     """
     require_valid(alignment)
+    if alignment.n_rows == 0:
+        raise ValueError("the information score of an empty log's alignment is undefined")
     entropies = _kernels.entropy_per_column(alignment.column_counts)
     e_max = np.log2(len(alignment.source.alphabet) + 1)
     return float(1.0 - entropies.sum() / (e_max * alignment.length))
@@ -540,6 +501,8 @@ def alignment_complexity(alignment: Alignment) -> ComplexityResult:
     occurrence.
     """
     require_valid(alignment)
+    if alignment.n_rows == 0:
+        raise ValueError("the complexity of an empty log's alignment is undefined")
     m = alignment.source.total_activities
     n = alignment.n_rows
     length = alignment.length
@@ -645,9 +608,8 @@ def evaluate_alignment(
     """
     require_valid(alignment)
     if census is None:
-        index = _InstanceIndex.of_log(alignment.source, tf_ratio)
-    else:
-        index = _InstanceIndex.of_census(census, alignment.source, tf_ratio)
+        census = _frequent_census(alignment.source, tf_ratio)
+    index = _InstanceIndex.of_census(census, alignment.source, tf_ratio)
     return _metric_report(alignment, reference, scheme, tf_ratio, majority, index, undefined=())
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,22 @@ class TestAlignmentStructure:
         log = make_log(("t0", ["a"]), ("t1", ["a"]))
         with pytest.raises(ValueError, match="rows"):
             Alignment(log, [[0]])
+
+    def test_grid_values_must_be_integers(self):
+        log = make_log(("t0", ["a", "b"]), ("t1", ["a", "b"]))
+        for grid, bad in [
+            ([[0.9, 1.9, -1], [-1, 0.2, 1.5]], "0.9"),
+            (np.array([[0.0, 1.0], [0.0, np.nan]]), "nan"),
+            (np.array([[0.0, 1.0], [0.0, np.inf]]), "inf"),
+            (np.array([[0.0, 1.0], [0.0, 2.0**63]]), "9.223372036854776e+18"),
+        ]:
+            message = re.escape(f"grid value {bad} is not an int64 integer")
+            with pytest.raises(ValueError, match=message):
+                Alignment(log, grid)
+        # Integral floats are read as the integers they hold.
+        integral = np.array([[0.0, 1.0], [0.0, 1.0]])
+        assert Alignment(log, integral) == Alignment(log, [[0, 1], [0, 1]])
+        assert Alignment(EventLog([]), np.zeros((0, 0))).grid.dtype == np.int64
 
     def test_grid_is_read_only(self):
         a = aligned([["a", "b"], ["a", "b"]])

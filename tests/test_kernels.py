@@ -24,7 +24,7 @@ from tracealign import (
     progressive_align,
 )
 from tracealign.experiments import perturb
-from tracealign.metrics import _InstanceIndex, misalignment_score
+from tracealign.metrics import _frequent_census, _InstanceIndex, misalignment_score
 
 SCHEMES = [(1.0, -1.0, 0.0), (2.0, -0.5, -0.25), (1.0, -1.0, -1.0)]
 # Schemes whose sums round, so a boundary built as a running total differs
@@ -139,12 +139,12 @@ class TestMsPattern:
                 continue
             alignment = perturb(progressive_align(log), moves, seed=case).alignment
             census = extract_patterns(log)
-            # A ratio this small indexes the whole census through the rank loop.
-            index = _InstanceIndex.of_log(log, 1e-9)
+            # A ratio this small keeps the whole census above the cut.
+            index = _InstanceIndex.of_census(_frequent_census(log, 1e-9), log, 1e-9)
             assert list(zip(index.patterns, index.counts)) == list(census.items())
             expected = [misalignment_oracle(alignment, p) for p in index.patterns]
             assert index.scores(alignment) == expected
-            found = _InstanceIndex.of_patterns(log, list(census.items()), census.f_max)
+            found = _InstanceIndex(log, list(census.items()), census.f_max)
             assert found.scores(alignment) == expected
             for pattern, score in zip(index.patterns, expected):
                 assert misalignment_score(alignment, pattern) == score
@@ -154,7 +154,7 @@ class TestMsPattern:
     def test_sums_stay_integral_in_int64(self):
         log = EventLog([Trace(f"t{i}", list("abab")) for i in range(3)])
         alignment = perturb(progressive_align(log), 4, seed=1).alignment
-        index = _InstanceIndex.of_log(log, 0.4)
+        index = _InstanceIndex.of_census(extract_patterns(log), log, 0.4)
         matched = _kernels.ms_pattern(
             index.starts,
             index.slot_pattern,
@@ -170,7 +170,7 @@ class TestMsPattern:
         log = EventLog([Trace("t0", list("ab")), Trace("t1", list("ba"))])
         alignment = progressive_align(log)
         chosen = [(Pattern("ba"), 1), (Pattern("zz"), 0), (Pattern("abc"), 0)]
-        index = _InstanceIndex.of_patterns(log, chosen, 1)
+        index = _InstanceIndex(log, chosen, 1)
         assert index.starts.shape == (1, 2)
         assert index.scores(alignment) == [misalignment_oracle(alignment, "ba"), 0.0, 0.0]
 

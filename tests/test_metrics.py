@@ -42,7 +42,7 @@ from tracealign import (
     ref_based_sps,
     ref_free_sps,
 )
-from tracealign.metrics import _InstanceIndex
+from tracealign.metrics import _frequent_census, _InstanceIndex
 
 
 def make_log(*rows) -> EventLog:
@@ -377,22 +377,28 @@ class TestMisalignmentScore:
             misalignment_score(a, ("a",))
 
 
+def frequent_index(log, tf_ratio):
+    return _InstanceIndex.of_census(_frequent_census(log, tf_ratio), log, tf_ratio)
+
+
+small_logs = st.integers(1, 3).flatmap(
+    lambda n_types: st.lists(
+        st.text("abc"[:n_types], min_size=1, max_size=10), min_size=1, max_size=6
+    )
+).map(lambda traces: make_log(*((f"t{i}", t) for i, t in enumerate(traces))))
+tf_ratios = st.sampled_from([0.05, 0.2, 0.4, 0.7, 1.0])
+
+
 class TestInstanceIndex:
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_holds_the_census_patterns_above_the_cut(self, data):
-        n_types = data.draw(st.integers(1, 3))
-        traces = data.draw(
-            st.lists(st.text("abc"[:n_types], min_size=1, max_size=10), min_size=1, max_size=6)
-        )
-        log = make_log(*((f"t{i}", t) for i, t in enumerate(traces)))
-        tf_ratio = data.draw(st.sampled_from([0.05, 0.2, 0.4, 0.7, 1.0]))
+    @given(log=small_logs, tf_ratio=tf_ratios)
+    def test_holds_the_census_patterns_above_the_cut(self, log, tf_ratio):
         census = extract_patterns(log)
         if not census:
             with pytest.raises(ValueError, match="census is empty"):
-                _InstanceIndex.of_log(log, tf_ratio)
+                _frequent_census(log, tf_ratio)
             return
-        index = _InstanceIndex.of_log(log, tf_ratio)
+        index = frequent_index(log, tf_ratio)
         cut = min(tf_ratio * census.f_max, census.f_max - 1)
         assert list(zip(index.patterns, index.counts)) == census.eligible(cut)
         assert index.f_max == census.f_max
@@ -404,12 +410,26 @@ class TestInstanceIndex:
                 assert index.starts[index.slot_pattern == p, i].tolist()[: len(starts)] == starts
                 assert (index.starts[index.slot_pattern == p, i][len(starts) :] == -1).all()
 
+    @settings(max_examples=150, deadline=None)
+    @given(log=small_logs, tf_ratio=tf_ratios)
+    def test_frequent_census_indexes_as_the_full_census(self, log, tf_ratio):
+        census = extract_patterns(log)
+        if not census:
+            return
+        index = frequent_index(log, tf_ratio)
+        full = _InstanceIndex.of_census(census, log, tf_ratio)
+        assert index.patterns == full.patterns and index.counts == full.counts
+        assert index.f_max == full.f_max
+        for name in ("slot_pattern", "starts", "unmatched", "pat_len", "member"):
+            ours, theirs = getattr(index, name), getattr(full, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+
     def test_window_as_long_as_the_longest_trace(self):
-        # Every window of "abcab" occurs in all three traces, so the loop
+        # Every window of "abcab" occurs in all three traces, so the census
         # runs out of lengths with windows still above the cut.
         log = make_log(("t0", "abcab"), ("t1", "abcab"), ("t2", "abcab"), ("t3", "ca"))
         census = extract_patterns(log)
-        index = _InstanceIndex.of_log(log, 0.4)
+        index = frequent_index(log, 0.4)
         assert max(len(p) for p in index.patterns) == log.max_trace_length == 5
         assert list(zip(index.patterns, index.counts)) == census.eligible(0.4 * census.f_max)
         a = perturb(progressive_align(log), 6, seed=3).alignment
@@ -417,9 +437,10 @@ class TestInstanceIndex:
         assert evaluate_alignment(a) == evaluate_alignment(a, census=census)
 
     def test_stops_at_the_first_length_without_an_eligible_window(self):
-        # Only (a, b) clears the cut; no length-3 window is looked at.
+        # Only (a, b) clears the cut, so the census ends at length 2.
         log = make_log(("t0", "abxab"), ("t1", "abyab"), ("t2", "ab"))
-        index = _InstanceIndex.of_log(log, 0.4)
+        assert _frequent_census(log, 0.4).max_len == 2
+        index = frequent_index(log, 0.4)
         assert index.patterns == [Pattern("ab")] and index.counts == [5]
         assert index.unmatched.tolist() == [2]
 
@@ -533,6 +554,18 @@ class TestOverallInformationScore:
                 information_score(column_histogram(a, j), n_types) for j in range(a.length)
             ]
             assert overall_information_score(a) == pytest.approx(np.mean(per_column), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "metric, name",
+    [(alignment_complexity, "complexity"), (overall_information_score, "information score")],
+)
+def test_empty_log_alignment_is_refused_after_validation(metric, name):
+    empty = EventLog([])
+    with pytest.raises(InvalidAlignmentError, match="column 0 is all gaps"):
+        metric(Alignment(empty, np.zeros((0, 1))))
+    with pytest.raises(ValueError, match=f"^the {name} of an empty log's alignment is undefined$"):
+        metric(Alignment(empty, np.zeros((0, 0))))
 
 
 class TestAlignmentComplexity:
