@@ -2,9 +2,12 @@
 
 ``profile_fill`` is the one pointer-table DP: global alignment over a
 matrix of pair scores and per-position gap costs.  Pairwise alignment
-and every profile merge run it.  All-pairs scoring (``nw_scores``) runs
-its recurrence for constant scores, keeping only the scores, with the
-same float64 operations, fill order and tie-breaking.  Misalignment
+and every profile merge run it.  It sweeps anti-diagonals and derives
+the pointer codes of a block of diagonals at a time.  All-pairs scoring
+(``nw_scores``) runs its recurrence for constant scores, keeping only
+the scores, with the same float64 operations, fill order and
+tie-breaking; its pairs are the columns of each array, so a block of
+pairs sweeps one contiguous slab per diagonal.  Misalignment
 scoring (``ms_pattern``) scores every pattern of an instance index in
 one blocked pass per alignment, summing each pattern in int64; it and
 the column statistics are whole-array numpy passes.  There is no other
@@ -30,9 +33,11 @@ DIAG, UP, LEFT = 0, 1, 2
 # Cell budget of one block of the all-pairs sweep, counted as
 # pairs x (A + B + 1) for the block's longest sides A and B.  It bounds
 # both the rolling diagonals and the gathered codes, so a block's
-# temporaries stay well under a megabyte.  ``ms_pattern`` cuts its work
-# under the same budget, counted as (N, N) pair tables and as instance
-# rows x pattern length x N, but never below one (N, N) table.
+# temporaries stay well under a megabyte.  ``profile_fill`` buffers that
+# many cells of candidates before it writes their pointer codes, and
+# ``ms_pattern`` cuts its work under the same budget, counted as (N, N)
+# pair tables and as instance rows x pattern length x N, but never below
+# one (N, N) table.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -44,8 +49,8 @@ def nw_scores(padded, lengths, match, mismatch, gap):
     ``gap * k``), with trace i as the first side, but many pairs share
     one numpy sweep over the anti-diagonals: pairs are sorted by
     (la, lb), cut into blocks under ``_BLOCK_CELLS`` and each block
-    keeps three rolling ``(pairs, A+1)`` diagonals with
-    ``H_d[:, i] = h[i, d - i]``.  Each cell does the same float64
+    keeps three rolling ``(A+1, pairs)`` diagonals with
+    ``H_d[i, p] = h_p[i, d - i]``.  Each cell does the same float64
     operations in the same order, so scores equal ``pairwise_align``'s
     bit for bit.  Cells past a pair's own (la, lb) read -1 padding, but
     they never feed that pair's cells, which only look up and left.
@@ -74,32 +79,37 @@ def nw_scores(padded, lengths, match, mismatch, gap):
 
 
 def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
-    """Best scores of the pairs (padded[first[p]], padded[second[p]]), one sweep."""
+    """Best scores of the pairs (padded[first[p]], padded[second[p]]), one sweep.
+
+    Pair p is column p of every array: the gathered codes are ``(A, pairs)``
+    and the diagonals ``(A+1, pairs)``, so the cells i = lo..hi of one
+    diagonal, for the whole block, are one contiguous slab.
+    """
     A, B = int(la.max()), int(lb.max())
-    a = padded[first, :A]
-    b_rev = padded[second, :B][:, ::-1]
+    a_t = np.ascontiguousarray(padded[first, :A].T)
+    b_rev_t = np.ascontiguousarray(padded[second, :B][:, ::-1].T)
     total = la + lb
     by_total = np.argsort(total, kind="stable")
     bounds = np.searchsorted(total[by_total], np.arange(A + B + 2))
     scores = np.empty(la.size, dtype=np.float64)
-    prev2, prev1, cur = (np.empty((la.size, A + 1), dtype=np.float64) for _ in range(3))
+    prev2, prev1, cur = (np.empty((A + 1, la.size), dtype=np.float64) for _ in range(3))
     for d in range(A + B + 1):
         prev2, prev1, cur = prev1, cur, prev2
         if d <= B:
-            cur[:, 0] = gap * d
+            cur[0] = gap * d
         if d <= A:
-            cur[:, d] = gap * d
+            cur[d] = gap * d
         lo, hi = max(1, d - B), min(A, d - 1)
         if lo <= hi:
-            # b_rev[:, B - d + i] is b[:, d - i - 1], the code facing a[:, i - 1].
-            facing = b_rev[:, B - d + lo : B - d + hi + 1]
-            sub = np.where(a[:, lo - 1 : hi] == facing, match, mismatch)
-            diag = prev2[:, lo - 1 : hi] + sub
-            up = prev1[:, lo - 1 : hi] + gap
-            left = prev1[:, lo : hi + 1] + gap
-            np.maximum(diag, np.maximum(up, left), out=cur[:, lo : hi + 1])
+            # b_rev_t[B - d + i] is b[d - i - 1], the code facing a_t[i - 1].
+            facing = b_rev_t[B - d + lo : B - d + hi + 1]
+            sub = np.where(a_t[lo - 1 : hi] == facing, match, mismatch)
+            diag = prev2[lo - 1 : hi] + sub
+            up = prev1[lo - 1 : hi] + gap
+            left = prev1[lo : hi + 1] + gap
+            np.maximum(diag, np.maximum(up, left), out=cur[lo : hi + 1])
         done = by_total[bounds[d] : bounds[d + 1]]
-        scores[done] = cur[done, la[done]]
+        scores[done] = cur[la[done], done]
     return scores
 
 
@@ -123,7 +133,11 @@ def profile_fill(s, ga, gb, col0, row0):
 
     Only the pointer table is kept: the scores live on three rolling
     anti-diagonals with ``H_d[i] = h[i, d - i]``, so memory is linear in
-    the side lengths.  Ties prefer DIAG, then UP, then LEFT.  Returns
+    the side lengths.  Each diagonal's DIAG and UP candidates and its
+    best scores go to block buffers of ``_BLOCK_CELLS`` cells (la * lb
+    if the table is smaller, one diagonal's cells if that is larger),
+    and the pointer codes of a full block come from four whole-block
+    array operations.  Ties prefer DIAG, then UP, then LEFT.  Returns
     ``(ptr, score)`` with ``score = h[la, lb]``.
     """
     la, lb = s.shape
@@ -132,9 +146,16 @@ def profile_fill(s, ga, gb, col0, row0):
     ptr[:, 0] = UP
     ptr[0, 0] = DIAG
     flat = ptr.reshape(-1)
-    s_flip = s[:, ::-1]
+    s_flat = s.reshape(-1)
+    # A diagonal of one cell, all there is when lb == 1, takes any step.
+    step = max(lb - 1, 1)
     gb_rev = gb[::-1]
     prev2, prev1, cur = (np.empty(la + 1, dtype=np.float64) for _ in range(3))
+    size = max(min(_BLOCK_CELLS, la * lb), min(la, lb))
+    diag_buf, up_buf, best_buf = (np.empty(size, dtype=np.float64) for _ in range(3))
+    # (flat offset of the diagonal's first cell, cell count) per buffered diagonal.
+    pending: list[tuple[int, int]] = []
+    used = 0
     for d in range(la + lb + 1):
         prev2, prev1, cur = prev1, cur, prev2
         if d <= lb:
@@ -144,17 +165,40 @@ def profile_fill(s, ga, gb, col0, row0):
         lo, hi = max(1, d - lb), min(la, d - 1)
         if lo > hi:
             continue
-        # The diagonal of s_flip at offset lb - d + 1 starts at row lo - 1
-        # and holds s[i - 1, d - i - 1] for i = lo..hi.
-        diag = prev2[lo - 1 : hi] + np.diagonal(s_flip, lb - d + 1)
-        up = prev1[lo - 1 : hi] + ga[lo - 1 : hi]
+        n = hi - lo + 1
+        if used + n > size:
+            _write_codes(flat, lb, pending, diag_buf[:used], up_buf[:used], best_buf[:used])
+            pending.clear()
+            used = 0
+        cells = slice(used, used + n)
+        # s[i - 1, d - i - 1] for i = lo..hi, at flat offsets i * (lb - 1) + d - lb - 1.
+        at = lo * (lb - 1) + d - lb - 1
+        diag = np.add(prev2[lo - 1 : hi], s_flat[at : at + n * step : step], out=diag_buf[cells])
+        up = np.add(prev1[lo - 1 : hi], ga[lo - 1 : hi], out=up_buf[cells])
         left = prev1[lo : hi + 1] + gb_rev[lb - d + lo : lb - d + hi + 1]
-        best = np.maximum(diag, np.maximum(up, left), out=cur[lo : hi + 1])
-        # Cell (i, d - i) sits at flat offset i * lb + d.
-        flat[lo * lb + d : hi * lb + d + 1 : lb] = np.where(
-            diag == best, DIAG, np.where(up == best, UP, LEFT)
-        )
+        best_buf[cells] = np.maximum(diag, np.maximum(up, left), out=cur[lo : hi + 1])
+        # Cell (i, d - i) of the pointer table sits at flat offset i * lb + d.
+        pending.append((lo * lb + d, n))
+        used += n
+    _write_codes(flat, lb, pending, diag_buf[:used], up_buf[:used], best_buf[:used])
     return ptr, float(cur[la])
+
+
+def _write_codes(flat, lb, pending, diag, up, best):
+    """Write the pointer codes of the buffered diagonals into ``flat``.
+
+    A cell is DIAG (0) where its DIAG candidate equals the best, else UP
+    (1) where its UP candidate does, else LEFT (2), so its code counts
+    the tests that fail.  A NaN equals nothing, so a NaN best is LEFT.
+    """
+    not_diag = diag != best
+    not_up = up != best
+    not_up &= not_diag
+    codes = np.add(not_diag, not_up, dtype=np.uint8)
+    start = 0
+    for at, n in pending:
+        flat[at : at + n * lb : lb] = codes[start : start + n]
+        start += n
 
 
 def traceback(ptr):

@@ -262,7 +262,9 @@ class Alignment:
         return self.source.traces[i].activities[ordinal]
 
     def row_labels(self, i: int) -> list[str]:
-        return [self.label_at(i, j) for j in range(self.length)]
+        # Gaps are -1, which indexes the GAP appended after the activities.
+        labels = np.array((*self.source.traces[i].activities, GAP), dtype=object)
+        return labels[self.grid[i]].tolist()
 
     @cached_property
     def codes(self) -> np.ndarray:

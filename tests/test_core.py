@@ -106,6 +106,23 @@ class TestAlignmentStructure:
         assert a.label_at(0, 1) == "-"
         assert a.label_at(1, 1) == "b"
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_row_labels_match_label_at(self, data):
+        traces = data.draw(st.lists(st.text("abc", min_size=1, max_size=5), min_size=1, max_size=4))
+        log = make_log(*((f"t{i}", list(t)) for i, t in enumerate(traces)))
+        width = data.draw(st.integers(max(map(len, traces)), 8))
+        grid = np.full((len(traces), width), -1)
+        for row, trace in zip(grid, traces):
+            columns = data.draw(st.permutations(range(width)))[: len(trace)]
+            row[sorted(columns)] = np.arange(len(trace))
+        a = Alignment(log, grid)
+        for i in range(a.n_rows):
+            labels = a.row_labels(i)
+            expected = [a.label_at(i, j) for j in range(a.length)]
+            assert labels == expected
+            assert [type(x) for x in labels] == [type(x) for x in expected]
+
 
 class TestFromLabelRows:
     """The grid from label rows, and each error message byte for byte."""

@@ -30,6 +30,12 @@ SCHEMES = [(1.0, -1.0, 0.0), (2.0, -0.5, -0.25), (1.0, -1.0, -1.0)]
 # Schemes whose sums round, so a boundary built as a running total differs
 # from ``gap * k`` in the last bit, and one whose zeros carry a sign.
 NON_DYADIC = [(1.0, -0.3, -0.1), (0.1, -0.2, 0.3), (3.3, 1.1, -0.7), (1.0, -0.0, -0.0)]
+# A scheme whose gap sums overflow to -inf, so whole regions of the table
+# tie at -inf and the pointer codes there come from comparing infinities.
+OVERFLOW = (1e300, -1e308, -1e308)
+# Block budgets for ``_kernels._BLOCK_CELLS``: the default, and budgets so
+# small that blocks end on every diagonal or every few diagonals.
+BLOCK_CELLS = [_kernels._BLOCK_CELLS, 1, 2, 7]
 
 
 @pytest.fixture
@@ -47,18 +53,31 @@ def merge_edges(ga, gb):
     return np.append(0.0, np.cumsum(ga)), np.append(0.0, np.cumsum(gb))
 
 
+def overflow_allowed(scheme):
+    """Silence float overflow for ``OVERFLOW`` only; finite scores make no NaN."""
+    return np.errstate(over="ignore") if scheme == OVERFLOW else np.errstate()
+
+
+def profile_shapes(rng):
+    """Small random (la, lb) shapes plus thin ones: empty, one-wide, 3 x 200."""
+    n = int(rng.integers(1, 40))
+    shapes = [tuple(int(k) for k in rng.integers(0, 13, size=2)) for _ in range(40)]
+    return shapes + [(0, n), (n, 0), (1, n), (n, 1), (3, 200), (200, 3)]
+
+
 class TestNwFill:
     """``pairwise_align`` against the frozen full-table pairwise fill and
     against every alignment path."""
 
-    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC)
+    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC + [OVERFLOW])
     def test_matches_full_table_fill(self, rng, scheme):
         for _ in range(100):
             la, lb = (int(n) for n in rng.integers(1, 12, size=2))
             a = rng.integers(0, 3, size=la)
             b = rng.integers(0, 3, size=lb)
-            alignment, score = pairwise_align(*traces(a, b), ScoringScheme(*scheme))
-            h, ptr = nw_fill(a, b, *scheme)
+            with overflow_allowed(scheme):
+                alignment, score = pairwise_align(*traces(a, b), ScoringScheme(*scheme))
+                h, ptr = nw_fill(a, b, *scheme)
             assert np.array_equal(alignment.grid, np.stack(_kernels.traceback(ptr)))
             assert score.hex() == float(h[-1, -1]).hex()
 
@@ -75,22 +94,46 @@ class TestProfileFill:
     """The rolling-diagonal profile DP against a full-table fill and against
     every alignment path."""
 
-    def test_pointers_match_full_table_fill(self, rng):
-        for trial in range(60):
-            la, lb = (int(n) for n in rng.integers(0, 13, size=2))
-            if trial % 2:
-                # Integer scores force ties, so the tie-break is compared too.
-                s = rng.integers(-2, 3, size=(la, lb)).astype(np.float64)
-                ga = -rng.integers(0, 2, size=la).astype(np.float64)
-                gb = -rng.integers(0, 2, size=lb).astype(np.float64)
-            else:
-                s = rng.normal(size=(la, lb))
-                ga = rng.normal(size=la) * 0.1
-                gb = rng.normal(size=lb) * 0.1
-            h, expected = full_table_profile_fill(s, ga, gb)
-            ptr, score = _kernels.profile_fill(s, ga, gb, *merge_edges(ga, gb))
-            assert np.array_equal(ptr, expected)
-            assert score.hex() == float(h[-1, -1]).hex()
+    @staticmethod
+    def check(s, ga, gb):
+        h, expected = full_table_profile_fill(s, ga, gb)
+        ptr, score = _kernels.profile_fill(s, ga, gb, *merge_edges(ga, gb))
+        assert np.array_equal(ptr, expected)
+        assert score.hex() == float(h[-1, -1]).hex()
+
+    def test_pointers_match_full_table_fill(self, rng, monkeypatch):
+        for block_cells in BLOCK_CELLS:
+            monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
+            for trial, (la, lb) in enumerate(profile_shapes(rng)):
+                if trial % 3 == 1:
+                    # Integer scores force ties, so the tie-break is compared too.
+                    s = rng.integers(-2, 3, size=(la, lb)).astype(np.float64)
+                    ga = -rng.integers(0, 2, size=la).astype(np.float64)
+                    gb = -rng.integers(0, 2, size=lb).astype(np.float64)
+                else:
+                    s = rng.normal(size=(la, lb))
+                    ga = rng.normal(size=la) * 0.1
+                    gb = rng.normal(size=lb) * 0.1
+                if trial % 3 == 2:
+                    # Infinite and NaN pair scores; a NaN best equals no candidate.
+                    s[rng.random(size=s.shape) < 0.2] = np.nan
+                    s[rng.random(size=s.shape) < 0.1] = np.inf
+                    s[rng.random(size=s.shape) < 0.1] = -np.inf
+                    with np.errstate(invalid="ignore"):
+                        self.check(s, ga, gb)
+                else:
+                    self.check(s, ga, gb)
+
+    @pytest.mark.parametrize("scheme", NON_DYADIC + [OVERFLOW])
+    def test_scheme_pointers_match_full_table_fill(self, rng, monkeypatch, scheme):
+        match, mismatch, gap = scheme
+        for block_cells in BLOCK_CELLS:
+            monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
+            for la, lb in profile_shapes(rng):
+                a, b = rng.integers(0, 3, size=la), rng.integers(0, 3, size=lb)
+                s = np.where(a[:, None] == b[None, :], match, mismatch)
+                with overflow_allowed(scheme):
+                    self.check(s, np.full(la, gap), np.full(lb, gap))
 
     def test_traced_path_scores_the_best_path(self, rng):
         for la, lb in itertools.product(range(6), repeat=2):
@@ -193,16 +236,17 @@ class TestNwScores:
         for i, j in itertools.combinations(range(len(sequences)), 2):
             assert scores[i, j] == brute_force_best_score(sequences[i], sequences[j], *scheme)
 
-    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC[:1])
+    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC + [OVERFLOW])
     def test_matches_pairwise_fill_across_blocks(self, rng, monkeypatch, scheme):
         # A small budget splits the pairs into many blocks of unequal shapes.
         monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 200)
         sequences = [rng.integers(0, 4, size=int(n)) for n in rng.integers(0, 31, size=40)]
         sequences += [np.zeros(0, dtype=np.int64), rng.integers(0, 4, size=30)]
-        scores = _kernels.nw_scores(*pad(sequences), *scheme)
-        for i, j in itertools.combinations(range(len(sequences)), 2):
-            h, _ = nw_fill(sequences[i], sequences[j], *scheme)
-            assert scores[i, j].hex() == h[-1, -1].hex()
+        with overflow_allowed(scheme):
+            scores = _kernels.nw_scores(*pad(sequences), *scheme)
+            for i, j in itertools.combinations(range(len(sequences)), 2):
+                h, _ = nw_fill(sequences[i], sequences[j], *scheme)
+                assert scores[i, j].hex() == h[-1, -1].hex()
 
     def test_symmetric_with_zero_diagonal(self, rng):
         sequences = [rng.integers(0, 3, size=int(n)) for n in rng.integers(0, 12, size=15)]
