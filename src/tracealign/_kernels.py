@@ -2,12 +2,16 @@
 
 ``profile_fill`` is the one pointer-table DP: global alignment over a
 matrix of pair scores and per-position gap costs.  Pairwise alignment
-and every profile merge run it.  It sweeps anti-diagonals and derives
-the pointer codes of a block of diagonals at a time.  All-pairs scoring
-(``nw_scores``) runs its recurrence for constant scores, keeping only
-the scores, with the same float64 operations, fill order and
-tie-breaking; its pairs are the columns of each array, so a block of
-pairs sweeps one contiguous slab per diagonal.  Misalignment
+and every profile merge run it, and the merges of one guide-tree level
+run it together: merge m is the last axis of a zero-padded (A, B, M)
+slab, so one anti-diagonal of every merge is one strided slice.  It
+keeps a block of whole diagonals in one buffer and derives the pointer
+codes of the block at once.  All-pairs scoring (``nw_scores``) runs its
+recurrence for constant scores, keeping only the scores, with the same
+float64 results, fill order and tie-breaking; its pairs are the columns
+of each array, so a block of pairs sweeps one contiguous slab per
+diagonal.  Both sweeps let float overflow run to +-inf, which is exact,
+without a warning.  Misalignment
 scoring (``ms_pattern``) scores every pattern of an instance index in
 one blocked pass per alignment, summing each pattern in int64; it and
 the column statistics are whole-array numpy passes.  There is no other
@@ -50,10 +54,12 @@ def nw_scores(padded, lengths, match, mismatch, gap):
     one numpy sweep over the anti-diagonals: pairs are sorted by
     (la, lb), cut into blocks under ``_BLOCK_CELLS`` and each block
     keeps three rolling ``(A+1, pairs)`` diagonals with
-    ``H_d[i, p] = h_p[i, d - i]``.  Each cell does the same float64
-    operations in the same order, so scores equal ``pairwise_align``'s
-    bit for bit.  Cells past a pair's own (la, lb) read -1 padding, but
-    they never feed that pair's cells, which only look up and left.
+    ``H_d[i, p] = h_p[i, d - i]``.  A cell adds the constant gap once,
+    to the larger of its UP and LEFT predecessors: rounding is monotone,
+    so that is the larger of the two sums ``profile_fill`` takes, and
+    scores equal ``pairwise_align``'s bit for bit.  Cells past a pair's
+    own (la, lb) read -1 padding, but they never feed that pair's cells,
+    which only look up and left.
     """
     n = lengths.size
     out = np.zeros((n, n), dtype=np.float64)
@@ -93,23 +99,26 @@ def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
     bounds = np.searchsorted(total[by_total], np.arange(A + B + 2))
     scores = np.empty(la.size, dtype=np.float64)
     prev2, prev1, cur = (np.empty((A + 1, la.size), dtype=np.float64) for _ in range(3))
-    for d in range(A + B + 1):
-        prev2, prev1, cur = prev1, cur, prev2
-        if d <= B:
-            cur[0] = gap * d
-        if d <= A:
-            cur[d] = gap * d
-        lo, hi = max(1, d - B), min(A, d - 1)
-        if lo <= hi:
-            # b_rev_t[B - d + i] is b[d - i - 1], the code facing a_t[i - 1].
-            facing = b_rev_t[B - d + lo : B - d + hi + 1]
-            sub = np.where(a_t[lo - 1 : hi] == facing, match, mismatch)
-            diag = prev2[lo - 1 : hi] + sub
-            up = prev1[lo - 1 : hi] + gap
-            left = prev1[lo : hi + 1] + gap
-            np.maximum(diag, np.maximum(up, left), out=cur[lo : hi + 1])
-        done = by_total[bounds[d] : bounds[d + 1]]
-        scores[done] = cur[la[done], done]
+    with np.errstate(over="ignore"):
+        for d in range(A + B + 1):
+            prev2, prev1, cur = prev1, cur, prev2
+            if d <= B:
+                cur[0] = gap * d
+            if d <= A:
+                cur[d] = gap * d
+            lo, hi = max(1, d - B), min(A, d - 1)
+            if lo <= hi:
+                # b_rev_t[B - d + i] is b[d - i - 1], the code facing a_t[i - 1].
+                facing = b_rev_t[B - d + lo : B - d + hi + 1]
+                sub = np.where(a_t[lo - 1 : hi] == facing, match, mismatch)
+                diag = prev2[lo - 1 : hi] + sub
+                # Both gap candidates add the same constant, and rounding is
+                # monotone, so adding it after the maximum gives the same float.
+                gapped = np.maximum(prev1[lo - 1 : hi], prev1[lo : hi + 1])
+                gapped += gap
+                np.maximum(diag, gapped, out=cur[lo : hi + 1])
+            done = by_total[bounds[d] : bounds[d + 1]]
+            scores[done] = cur[la[done], done]
     return scores
 
 
@@ -119,114 +128,158 @@ def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
 # alignment and profile merges alike.
 
 
-def profile_fill(s, ga, gb, col0, row0):
-    """Traceback pointers and best score of a global alignment DP.
+def profile_fill(s, ga, gb, col0, row0, la, lb):
+    """Traceback pointers and best scores of M global alignment DPs, one sweep.
 
-    ``s[i, j]`` scores position i of the first side against position j
-    of the second, and ``ga[i]`` / ``gb[j]`` score a position against a
-    gap.  ``col0`` (la + 1 values) and ``row0`` (lb + 1 values) are the
-    score table's first column and first row; both start with the
-    corner h[0, 0].  The caller passes them because the same gap costs
-    summed two ways can differ in the last bit: a profile merge passes
-    running sums of ``ga`` and ``gb``, ``pairwise_align`` passes
-    ``gap * k``.
+    Merge m is the last axis of every array.  ``s[i, j, m]`` scores
+    position i of merge m's first side against position j of its second,
+    and ``ga[i, m]`` / ``gb[j, m]`` score a position against a gap.
+    ``col0`` (A + 1 rows) and ``row0`` (B + 1 rows) are the first column
+    and row of each merge's score table; both start with the corner
+    h[0, 0].  The caller passes them because the same gap costs summed two
+    ways can differ in the last bit: a profile merge passes running sums
+    of ``ga`` and ``gb``, ``pairwise_align`` passes ``gap * k``.  Merge
+    m's sides are ``la[m]`` and ``lb[m]``; past them the (A, B, M) slab is
+    zero padding.  A padding cell never feeds a real one, whose candidates
+    only look up and left, and zeros keep it finite wherever the real
+    cells are, so it adds no float warning.  One merge (``M = 1``) needs
+    no padding, and its arrays drop the merge axis inside the sweep.
 
-    Only the pointer table is kept: the scores live on three rolling
-    anti-diagonals with ``H_d[i] = h[i, d - i]``, so memory is linear in
-    the side lengths.  Each diagonal's DIAG and UP candidates and its
-    best scores go to block buffers of ``_BLOCK_CELLS`` cells (la * lb
-    if the table is smaller, one diagonal's cells if that is larger),
-    and the pointer codes of a full block come from four whole-block
-    array operations.  Ties prefer DIAG, then UP, then LEFT.  Returns
-    ``(ptr, score)`` with ``score = h[la, lb]``.
+    The sweep runs over anti-diagonals; one diagonal of every merge is
+    one ``(cells, M)`` basic strided slice of ``s``.  Diagonal d keeps
+    ``h[i, d - i]`` for its cells i = lo..hi and for the slot on either
+    side, which holds ``h[0, d]`` or ``h[d, 0]`` where that lies on the
+    first row or column.  A block of whole diagonals, about
+    ``_BLOCK_CELLS`` cells, follows in one buffer the two diagonals it
+    reads from the block before, so each diagonal takes five array
+    operations and memory is linear in the side lengths.  The pointer
+    codes of a block come from four whole-block operations and are kept
+    diagonal by diagonal, in sweep order: the code of cell (i, j), for
+    1 <= i <= A and 1 <= j <= B, is ``ptr[base[i + j] + i]``, and the
+    first row and column, where a traceback has one way to go, have none.
+    Ties prefer DIAG, then UP, then LEFT.  Float overflow to +-inf is
+    exact here and raises no warning.  Returns ``(ptr, base, score)``:
+    ``ptr`` is (rows, M), ``base`` a list of A + B + 1 offsets and
+    ``score[m] = h_m[la[m], lb[m]]``.
     """
-    la, lb = s.shape
-    ptr = np.empty((la + 1, lb + 1), dtype=np.uint8)
-    ptr[0, :] = LEFT
-    ptr[:, 0] = UP
-    ptr[0, 0] = DIAG
-    flat = ptr.reshape(-1)
-    s_flat = s.reshape(-1)
-    # A diagonal of one cell, all there is when lb == 1, takes any step.
-    step = max(lb - 1, 1)
-    gb_rev = gb[::-1]
-    prev2, prev1, cur = (np.empty(la + 1, dtype=np.float64) for _ in range(3))
-    size = max(min(_BLOCK_CELLS, la * lb), min(la, lb))
-    diag_buf, up_buf, best_buf = (np.empty(size, dtype=np.float64) for _ in range(3))
-    # (flat offset of the diagonal's first cell, cell count) per buffered diagonal.
-    pending: list[tuple[int, int]] = []
-    used = 0
-    for d in range(la + lb + 1):
-        prev2, prev1, cur = prev1, cur, prev2
-        if d <= lb:
-            cur[0] = row0[d]
-        if d <= la:
-            cur[d] = col0[d]
-        lo, hi = max(1, d - lb), min(la, d - 1)
-        if lo > hi:
-            continue
-        n = hi - lo + 1
-        if used + n > size:
-            _write_codes(flat, lb, pending, diag_buf[:used], up_buf[:used], best_buf[:used])
-            pending.clear()
-            used = 0
-        cells = slice(used, used + n)
-        # s[i - 1, d - i - 1] for i = lo..hi, at flat offsets i * (lb - 1) + d - lb - 1.
-        at = lo * (lb - 1) + d - lb - 1
-        diag = np.add(prev2[lo - 1 : hi], s_flat[at : at + n * step : step], out=diag_buf[cells])
-        up = np.add(prev1[lo - 1 : hi], ga[lo - 1 : hi], out=up_buf[cells])
-        left = prev1[lo : hi + 1] + gb_rev[lb - d + lo : lb - d + hi + 1]
-        best_buf[cells] = np.maximum(diag, np.maximum(up, left), out=cur[lo : hi + 1])
-        # Cell (i, d - i) of the pointer table sits at flat offset i * lb + d.
-        pending.append((lo * lb + d, n))
-        used += n
-    _write_codes(flat, lb, pending, diag_buf[:used], up_buf[:used], best_buf[:used])
-    return ptr, float(cur[la])
+    A, B, M = s.shape
+
+    def by_cell(x):
+        """``x`` as (cells, M) rows, or as (cells,) for one merge."""
+        return x.reshape(-1, M) if M > 1 else x.reshape(-1)
+
+    # The pair score of (i - 1, j - 1) is row (i - 1) * B + j - 1 of ``s``.
+    s_cells, ga, col0, row0 = by_cell(s), by_cell(ga), by_cell(col0), by_cell(row0)
+    gb_rev = np.ascontiguousarray(by_cell(gb)[::-1])
+    # A diagonal of one cell, all there is when B == 1, takes any step.
+    step = max(B - 1, 1)
+    diagonals = np.arange(A + B + 1)
+    lo, hi = np.maximum(1, diagonals - B), np.minimum(A, diagonals - 1)
+    # Diagonal d holds h[lo - 1 .. hi + 1, d - i] in rows seg[d] to
+    # seg[d + 1] - 1 of ``ptr``, and, less ``shift``, of the block buffers.
+    seg = np.zeros(A + B + 2, dtype=np.int64)
+    np.cumsum(hi - lo + 3, out=seg[1:])
+    base = (seg[:-1] - lo + 1).tolist()
+    # The rows of h[0, d] for d <= B and of h[d, 0] for d <= A.
+    top, bottom = seg[: B + 1], seg[1 : A + 2] - 1
+    ptr = np.empty((int(seg[-1]), M), dtype=np.uint8)
+    ptr_cells = by_cell(ptr)
+    # The merges whose last cell (la, lb) lies on each diagonal.
+    ends: dict[int, list[int]] = {}
+    for m, total in enumerate((la + lb).tolist()):
+        ends.setdefault(total, []).append(m)
+    score = np.empty(M, dtype=np.float64)
+    # Scores, DIAG and UP candidates: two kept diagonals, then a block.
+    # A diagonal has at most min(A, B) + 2 rows, so three always fit, and
+    # no buffer outgrows the whole sweep.
+    size = min(max(_BLOCK_CELLS // M, 3 * (min(A, B) + 2)), int(seg[-1]))
+    h, diag_buf, up_buf = (by_cell(np.zeros((size, M))) for _ in range(3))
+    seg_at, lo_at, hi_at = seg.tolist(), lo.tolist(), hi.tolist()
+    first = shift = 0  # the block's first diagonal; the ``seg`` row of h[0]
+    with np.errstate(over="ignore"):
+        while first <= A + B:
+            last = int(np.searchsorted(seg, shift + size, side="right")) - 1
+            last = min(max(last, first + 1), A + B + 1)
+            top_end, bottom_end = min(last, B + 1), min(last, A + 1)
+            h[top[first:top_end] - shift] = row0[first:top_end]
+            h[bottom[first:bottom_end] - shift] = col0[first:bottom_end]
+            for d in range(max(first, 2), last):
+                i0, i1 = lo_at[d], hi_at[d]
+                if i0 > i1:
+                    continue
+                n = i1 - i0 + 1
+                out = slice(seg_at[d] + 1 - shift, seg_at[d] + 1 - shift + n)
+                up_at = base[d - 1] - shift + i0 - 1
+                diag_at = base[d - 2] - shift + i0 - 1
+                # s[i - 1, d - i - 1] for i = i0..i1, at rows (i - 1) * (B - 1) + d - 2.
+                at = (i0 - 1) * (B - 1) + d - 2
+                pair = s_cells[at : at + n * step : step]
+                diag = np.add(h[diag_at : diag_at + n], pair, out=diag_buf[out])
+                up = np.add(h[up_at : up_at + n], ga[i0 - 1 : i1], out=up_buf[out])
+                gb_d = gb_rev[B - d + i0 : B - d + i1 + 1]
+                best = np.add(h[up_at + 1 : up_at + n + 1], gb_d, out=h[out])
+                np.maximum(up, best, out=best)
+                np.maximum(diag, best, out=best)
+            for d in range(first, last):
+                done = ends.get(d)
+                if done is not None:
+                    score[done] = h.reshape(-1, M)[base[d] - shift + la[done], done]
+            rows = slice(seg_at[first] - shift, seg_at[last] - shift)
+            codes = ptr_cells[seg_at[first] : seg_at[last]]
+            _write_codes(codes, diag_buf[rows], up_buf[rows], h[rows])
+            # The next block reads the last two diagonals of this one.
+            keep = seg_at[max(last - 2, 0)]
+            h[: seg_at[last] - keep] = h[keep - shift : seg_at[last] - shift].copy()
+            first, shift = last, keep
+    return ptr, base, score
 
 
-def _write_codes(flat, lb, pending, diag, up, best):
-    """Write the pointer codes of the buffered diagonals into ``flat``.
+def _write_codes(out, diag, up, best):
+    """Write the pointer codes of a block's candidates into ``out``.
 
     A cell is DIAG (0) where its DIAG candidate equals the best, else UP
     (1) where its UP candidate does, else LEFT (2), so its code counts
     the tests that fail.  A NaN equals nothing, so a NaN best is LEFT.
+    The slots beside each diagonal's cells get a code too, never read.
     """
     not_diag = diag != best
     not_up = up != best
     not_up &= not_diag
-    codes = np.add(not_diag, not_up, dtype=np.uint8)
-    start = 0
-    for at, n in pending:
-        flat[at : at + n * lb : lb] = codes[start : start + n]
-        start += n
+    np.add(not_diag, not_up, out=out, dtype=np.uint8)
 
 
-def traceback(ptr):
-    """Walk a pointer table from the bottom-right corner.
+def traceback(ptr, base, la, lb):
+    """Walk one merge's pointer codes from cell (la, lb) back to (0, 0).
 
-    Returns two index arrays of equal length: for each output column the
-    consumed position of the first/second side, or -1 where that side
-    takes a gap.
+    ``ptr`` and ``base`` are as ``profile_fill`` returns them, ``ptr``
+    cut to the merge's own column ``ptr[:, m]``.  Returns two index
+    arrays of equal length: for each output column the consumed position
+    of the first/second side, or -1 where that side takes a gap.  Once
+    either side is used up, the other takes the rest.
     """
-    i = ptr.shape[0] - 1
-    j = ptr.shape[1] - 1
+    codes = memoryview(np.ascontiguousarray(ptr))
+    i, j = int(la), int(lb)
     first: list[int] = []
     second: list[int] = []
-    while i > 0 or j > 0:
-        p = ptr[i, j]
-        if i > 0 and j > 0 and p == DIAG:
-            first.append(i - 1)
-            second.append(j - 1)
+    while i > 0 and j > 0:
+        p = codes[base[i + j] + i]
+        if p == DIAG:
             i -= 1
             j -= 1
-        elif i > 0 and (p == UP or j == 0):
-            first.append(i - 1)
+            first.append(i)
+            second.append(j)
+        elif p == UP:
+            i -= 1
+            first.append(i)
             second.append(-1)
-            i -= 1
         else:
-            first.append(-1)
-            second.append(j - 1)
             j -= 1
+            first.append(-1)
+            second.append(j)
+    first += range(i - 1, -1, -1)
+    second += [-1] * i
+    first += [-1] * j
+    second += range(j - 1, -1, -1)
     first.reverse()
     second.reverse()
     return np.asarray(first, dtype=np.int64), np.asarray(second, dtype=np.int64)

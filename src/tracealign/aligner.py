@@ -125,9 +125,13 @@ class Profile:
     def length(self) -> int:
         return self.grid.shape[1]
 
-    @cached_property
+    @property
     def codes(self) -> np.ndarray:
-        """(rows, L) activity codes of the member rows; gaps are -1."""
+        """(rows, L) activity codes of the member rows; gaps are -1.
+
+        Not kept: ``frequencies`` reads it once, and a kept copy would
+        stay alive, rows x columns, with every profile still to merge.
+        """
         padded = self.source.padded_codes
         member_rows = padded[np.asarray(self.members)]
         safe = np.clip(self.grid, 0, None)
@@ -158,13 +162,15 @@ def pairwise_align(
     """
     log = _two_trace_log(t1, t2)
     a, b = log.trace_codes
-    s = np.where(a[:, None] == b[None, :], scheme.match, scheme.mismatch)
-    ga, gb = np.full(a.size, scheme.gap), np.full(b.size, scheme.gap)
+    # One merge: every array has a last, merge axis of length 1.
+    s = np.where(a[:, None, None] == b[None, :, None], scheme.match, scheme.mismatch)
+    ga, gb = np.full((a.size, 1), scheme.gap), np.full((b.size, 1), scheme.gap)
     # First column and row at gap * k, as in ``nw_scores``, so both score alike.
-    col0, row0 = scheme.gap * np.arange(a.size + 1), scheme.gap * np.arange(b.size + 1)
-    ptr, score = _kernels.profile_fill(s, ga, gb, col0, row0)
-    row1, row2 = _kernels.traceback(ptr)
-    return Alignment(log, np.stack([row1, row2])), score
+    col0 = scheme.gap * np.arange(a.size + 1)[:, None]
+    row0 = scheme.gap * np.arange(b.size + 1)[:, None]
+    ptr, base, score = _kernels.profile_fill(s, ga, gb, col0, row0, log.lengths[:1], log.lengths[1:])
+    row1, row2 = _kernels.traceback(ptr[:, 0], base, a.size, b.size)
+    return Alignment(log, np.stack([row1, row2])), float(score[0])
 
 
 def _variant_ids(log: EventLog) -> np.ndarray:
@@ -252,7 +258,13 @@ def build_guide_tree(distances: np.ndarray) -> GuideTree:
     return trees[0]
 
 
-_SCORE_BLOCK_CELLS = 1 << 16
+# Cells of one block of rows of ``_column_pair_scores``.
+_SCORE_BLOCK_CELLS = 1 << 14
+# The merges of one guide-tree level share a ``profile_fill`` sweep in
+# groups whose slab holds at most this many ``_kernels._BLOCK_CELLS``
+# (one megabyte of float64).  Larger slabs save few diagonals but raise
+# the peak resident memory of ``align``.
+_LEVEL_BLOCKS = 8
 
 
 def _column_pair_scores(p1: Profile, p2: Profile, scheme: ScoringScheme):
@@ -266,23 +278,25 @@ def _column_pair_scores(p1: Profile, p2: Profile, scheme: ScoringScheme):
     occ2 = b.sum(axis=1)
     # match * same + mismatch * (cross - same) + gap * gap_faces, written
     # over ``same`` one block of rows at a time: the same float64
-    # operations per cell, but one (L1, L2) buffer, so the peak memory of
-    # a merge no longer triples with its size.
+    # operations per cell, but one (L1, L2) matrix and three block
+    # buffers, so the peak memory of a merge no longer triples with its
+    # size.  ``same += block`` adds the same two floats as ``block + same``.
     s = a @ b.T
     step = max(1, _SCORE_BLOCK_CELLS // max(1, s.shape[1]))
+    cross, faces, other = (np.empty((min(step, s.shape[0]), s.shape[1])) for _ in range(3))
     for lo in range(0, s.shape[0], step):
         rows = slice(lo, lo + step)
         same = s[rows]
-        block = np.outer(occ1[rows], occ2)
+        k = same.shape[0]
+        block = np.multiply(occ1[rows, None], occ2, out=cross[:k])
         block -= same
         block *= scheme.mismatch
         same *= scheme.match
-        block += same
-        gap_faces = np.outer(f1[rows, 0], occ2)
-        gap_faces += np.outer(occ1[rows], f2[:, 0])
+        same += block
+        gap_faces = np.multiply(f1[rows, 0, None], occ2, out=faces[:k])
+        gap_faces += np.multiply(occ1[rows, None], f2[:, 0], out=other[:k])
         gap_faces *= scheme.gap
-        block += gap_faces
-        same[...] = block
+        same += gap_faces
     return s, scheme.gap * occ1, scheme.gap * occ2
 
 
@@ -300,19 +314,51 @@ def align_profiles(p1: Profile, p2: Profile, scheme: ScoringScheme = DEFAULT_SCH
     overlap = set(p1.members) & set(p2.members)
     if overlap:
         raise ValueError(f"profiles share members {sorted(overlap)}")
-    s, ga, gb = _column_pair_scores(p1, p2, scheme)
-    # First column and row as running sums, which can differ from gap * k.
-    col0, row0 = np.append(0.0, np.cumsum(ga)), np.append(0.0, np.cumsum(gb))
-    ptr, _ = _kernels.profile_fill(s, ga, gb, col0, row0)
-    take1, take2 = _kernels.traceback(ptr)
+    return _merge_profiles([(p1, p2)], scheme)[0]
+
+
+def _merge_profiles(pairs: list, scheme: ScoringScheme) -> list[Profile]:
+    """Merge each ``(p1, p2)`` of ``pairs`` as ``align_profiles`` does, all
+    in one ``profile_fill`` sweep.
+
+    Merge m is the last axis of the slab: its pair scores, gap costs and
+    first column and row (running sums, which can differ from gap * k)
+    fill the corner of its own sides, and zeros pad the rest.  A lone
+    merge runs on its pair scores as they are.  Each pair is set to None
+    once its merge is spread, so its profiles can be freed.
+    """
+    la = np.array([p1.length for p1, _ in pairs], dtype=np.int64)
+    lb = np.array([p2.length for _, p2 in pairs], dtype=np.int64)
+    A, B, M = int(la.max()), int(lb.max()), len(pairs)
+    s = np.zeros((A, B, M)) if M > 1 else None
+    ga, gb = np.zeros((A, M)), np.zeros((B, M))
+    col0, row0 = np.zeros((A + 1, M)), np.zeros((B + 1, M))
+    with np.errstate(over="ignore"):
+        for m, (p1, p2) in enumerate(pairs):
+            s_m, ga[: la[m], m], gb[: lb[m], m] = _column_pair_scores(p1, p2, scheme)
+            if M > 1:
+                s[: la[m], : lb[m], m] = s_m
+            else:
+                s = s_m[:, :, None]
+            del s_m
+            np.cumsum(ga[: la[m], m], out=col0[1 : la[m] + 1, m])
+            np.cumsum(gb[: lb[m], m], out=row0[1 : lb[m] + 1, m])
+    ptr, base, _ = _kernels.profile_fill(s, ga, gb, col0, row0, la, lb)
+    del s
 
     def spread(grid: np.ndarray, take: np.ndarray) -> np.ndarray:
         safe = np.clip(take, 0, None)
         rows = grid[:, safe]
         return np.where(take[None, :] >= 0, rows, -1)
 
-    merged = np.vstack([spread(p1.grid, take1), spread(p2.grid, take2)])
-    return Profile(p1.source, p1.members + p2.members, merged)
+    merged = []
+    for m in range(M):
+        p1, p2 = pairs[m]
+        pairs[m] = None
+        take1, take2 = _kernels.traceback(ptr[:, m], base, la[m], lb[m])
+        grid = np.vstack([spread(p1.grid, take1), spread(p2.grid, take2)])
+        merged.append(Profile(p1.source, p1.members + p2.members, grid))
+    return merged
 
 
 def _drop_all_gap_columns(grid: np.ndarray) -> np.ndarray:
@@ -332,7 +378,17 @@ def progressive_align(
     scheme: ScoringScheme = DEFAULT_SCHEME,
     tree: GuideTree | None = None,
 ) -> Alignment:
-    """Align all traces by folding profile merges over the guide tree."""
+    """Align all traces by folding profile merges over the guide tree.
+
+    The fold goes by height, a merge's height being one more than its
+    taller child's: once the lower heights are done, every merge of the
+    next one has both children.  Each height's merges are sorted by their
+    sides and cut into groups whose zero-padded slab holds at most
+    ``_LEVEL_BLOCKS`` times ``_kernels._BLOCK_CELLS`` cells, and each
+    group is one ``profile_fill`` sweep.  A group of one merge runs as
+    ``align_profiles``, on its own pair scores.  Every merge is the one
+    a post-order fold makes, so the alignment is too.
+    """
     if len(log) < 2:
         raise ValueError(f"need at least 2 traces, got {len(log)}")
     if tree is None:
@@ -341,16 +397,52 @@ def progressive_align(
     if leaves != list(range(len(log))):
         raise ValueError(f"guide tree leaves {leaves} do not cover 0..{len(log) - 1}")
 
-    # In post-order both children's profiles are the top two pending.
-    pending: list[Profile] = []
+    # A node's height is one more than its taller child's, so every merge of
+    # one height has both children ready once the lower heights are done.
+    height: dict[int, int] = {}
+    levels: list[list[GuideTree]] = []
     for node in _postorder(tree):
         if node.is_leaf:
-            pending.append(Profile.singleton(log, node.index))
-        else:
-            right = pending.pop()
-            left = pending.pop()
-            pending.append(align_profiles(left, right, scheme))
-    return _profile_to_alignment(pending.pop())
+            height[id(node)] = 0
+            continue
+        h = height[id(node)] = 1 + max(height[id(node.left)], height[id(node.right)])
+        if h > len(levels):
+            levels.append([])
+        levels[h - 1].append(node)
+
+    # The profile of every merged node not yet merged again; a leaf's
+    # profile is made when its merge comes.
+    profiles: dict[int, Profile] = {}
+
+    def take(node: GuideTree) -> Profile:
+        return Profile.singleton(log, node.index) if node.is_leaf else profiles.pop(id(node))
+
+    def length(node: GuideTree) -> int:
+        return len(log.traces[node.index]) if node.is_leaf else profiles[id(node)].length
+
+    cap = _LEVEL_BLOCKS * _kernels._BLOCK_CELLS
+    for level in levels:
+        la = np.array([length(n.left) for n in level], dtype=np.int64)
+        lb = np.array([length(n.right) for n in level], dtype=np.int64)
+        # Cut like the pairs of ``nw_scores``: a group's slab holds merges x
+        # longest first side x longest second side cells.
+        order = np.lexsort((lb, la))
+        la, lb = la[order], lb[order]
+        start = 0
+        while start < order.size:
+            merges = np.arange(1, order.size - start + 1)
+            cells = merges * la[start:] * np.maximum.accumulate(lb[start:])
+            stop = start + max(1, int(np.count_nonzero(cells <= cap)))
+            group = [level[k] for k in order[start:stop].tolist()]
+            pairs = [(take(n.left), take(n.right)) for n in group]
+            if len(pairs) == 1:
+                merged = [align_profiles(*pairs.pop(), scheme)]
+            else:
+                merged = _merge_profiles(pairs, scheme)
+            for node, profile in zip(group, merged):
+                profiles[id(node)] = profile
+            start = stop
+    return _profile_to_alignment(profiles.pop(id(tree)))
 
 
 def _perturbed_distances(d: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -369,9 +369,14 @@ def validate_alignment(alignment: Alignment) -> ValidationReport:
     Violations are data, not errors: callers that need to inspect broken
     grids (perturbation debugging, file ingestion) get coordinates for
     each defect.
+
+    A row is valid when its k-th occupied cell holds ordinal k and it
+    has as many occupied cells as its trace has activities; whole-grid
+    operations find the rows that are not, and only those are examined
+    one by one for their message.
     """
     grid = alignment.grid
-    n_rows, length = grid.shape
+    length = grid.shape[1]
     report: ValidationReport = []
 
     if length < alignment.l_min:
@@ -389,9 +394,15 @@ def validate_alignment(alignment: Alignment) -> ValidationReport:
         for j in all_gap:
             report.append(Violation("all_gap_column", None, int(j), f"column {j} is all gaps"))
 
-    for i in range(n_rows):
-        expected = len(alignment.source.traces[i])
-        ordinals = grid[i][grid[i] >= 0]
+    occupied = grid >= 0
+    counts = occupied.sum(axis=1)
+    # Row-major, a row's occupied cells follow those of the rows above it.
+    rank = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    bad = counts != alignment.source.lengths
+    bad[np.repeat(np.arange(counts.size), counts)[grid[occupied] != rank]] = True
+    for i in np.flatnonzero(bad).tolist():
+        expected = int(alignment.source.lengths[i])
+        ordinals = grid[i][occupied[i]]
         if sorted(ordinals.tolist()) != list(range(expected)):
             report.append(
                 Violation(

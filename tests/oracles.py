@@ -22,7 +22,10 @@ function bottom-up.  The consensus oracle is a frozen copy of the
 best-of-k loop that aligns and scores every candidate, and the distance
 oracle scores every trace pair with ``nw_fill``.  The label-rows oracle
 is a frozen copy of the cell-by-cell loop that built a grid from label
-rows, with its error messages.
+rows, with its error messages, and the validation oracle is a frozen
+copy of the row-by-row loop that checked an alignment's rows.  The
+traceback oracle walks a full pointer table, as the kernel did before it
+kept its codes diagonal by diagonal.
 """
 
 import itertools
@@ -430,3 +433,68 @@ def label_rows_oracle(log, rows):
             )
         grid.append(grid_row)
     return grid
+
+
+def validation_oracle(alignment):
+    """Every structural violation of an alignment as ``(kind, row, column,
+    message)``, in report order.
+
+    A frozen copy of the validator's row-by-row loop: each row's occupied
+    ordinals are sorted and compared with 0..n-1, then checked for order.
+    """
+    grid = alignment.grid
+    n_rows, length = grid.shape
+    report = []
+    if length < alignment.l_min:
+        report.append(
+            ("length", None, None, f"alignment length {length} is below the minimum {alignment.l_min}")
+        )
+    if length:
+        for j in np.nonzero((grid < 0).all(axis=0))[0]:
+            report.append(("all_gap_column", None, int(j), f"column {j} is all gaps"))
+    for i in range(n_rows):
+        expected = len(alignment.source.traces[i])
+        ordinals = grid[i][grid[i] >= 0]
+        if sorted(ordinals.tolist()) != list(range(expected)):
+            report.append(
+                (
+                    "row_occurrences",
+                    i,
+                    None,
+                    f"row {i} holds ordinals {ordinals.tolist()}, expected 0..{expected - 1} once each",
+                )
+            )
+        elif not np.all(np.diff(ordinals) > 0):
+            report.append(("row_order", i, None, f"row {i} lists ordinals out of order"))
+    return report
+
+
+def traceback_oracle(ptr):
+    """Walk a full (la + 1, lb + 1) pointer table from its bottom-right corner.
+
+    A frozen copy of the table walk that came before pointer codes were
+    kept diagonal by diagonal: the first/second side's consumed position
+    per output column, -1 where that side takes a gap.
+    """
+    i = ptr.shape[0] - 1
+    j = ptr.shape[1] - 1
+    first = []
+    second = []
+    while i > 0 or j > 0:
+        p = ptr[i, j]
+        if i > 0 and j > 0 and p == DIAG:
+            first.append(i - 1)
+            second.append(j - 1)
+            i -= 1
+            j -= 1
+        elif i > 0 and (p == UP or j == 0):
+            first.append(i - 1)
+            second.append(-1)
+            i -= 1
+        else:
+            first.append(-1)
+            second.append(j - 1)
+            j -= 1
+    first.reverse()
+    second.reverse()
+    return np.asarray(first, dtype=np.int64), np.asarray(second, dtype=np.int64)

@@ -11,7 +11,7 @@ from oracles import (
     guide_tree_leaves_oracle,
     guide_tree_oracle,
 )
-from test_kernels import NON_DYADIC, SCHEMES
+from test_kernels import NON_DYADIC, OVERFLOW, SCHEMES
 from tracealign import aligner as aligner_module
 from tracealign import (
     Alignment,
@@ -185,6 +185,26 @@ def random_tree(rng: np.random.Generator, n: int) -> GuideTree:
     return nodes[0]
 
 
+def balanced_tree(rng: np.random.Generator, n: int) -> GuideTree:
+    """Leaves in any order joined in pairs, level by level: many merges per level."""
+    nodes = [GuideTree.leaf(int(i)) for i in rng.permutation(n)]
+    while len(nodes) > 1:
+        joined = [GuideTree.join(nodes[k], nodes[k + 1], 0.0) for k in range(0, len(nodes) - 1, 2)]
+        nodes = joined + nodes[2 * len(joined) :]
+    return nodes[0]
+
+
+def chain_tree(rng: np.random.Generator, n: int) -> GuideTree:
+    """Leaves in any order joined one at a time: one merge per level."""
+    order = rng.permutation(n).tolist()
+    tree = GuideTree.leaf(order[0])
+    for i in order[1:]:
+        # Odd leaves join on the right, even ones on the left.
+        leaf = GuideTree.leaf(i)
+        tree = GuideTree.join(tree, leaf, 0.0) if i % 2 else GuideTree.join(leaf, tree, 0.0)
+    return tree
+
+
 def chain_log_and_tree(n: int) -> tuple[EventLog, GuideTree]:
     """``n`` identical traces and the chain their tree becomes: each joins at
     distance 0 on the right, so the tree is ``n - 1`` levels deep."""
@@ -202,21 +222,29 @@ class TestGuideTreeWalk:
             tree = random_tree(rng, int(rng.integers(1, 13)))
             assert tree.leaves() == guide_tree_leaves_oracle(tree)
 
-    def test_progressive_align_matches_recursive_fold_on_random_trees(self):
+    def test_progressive_align_matches_recursive_fold_on_random_trees(self, monkeypatch):
         rng = np.random.default_rng(31)
-        scheme = ScoringScheme(2.0, -1.0, -0.5)
-        for _ in range(60):
-            n = int(rng.integers(2, 13))
-            log = random_log(rng, n_traces=n, min_len=1, max_len=6)
-            tree = random_tree(rng, n)
-            root = guide_tree_fold_oracle(
-                tree,
-                lambda i: Profile.singleton(log, i),
-                lambda left, right: align_profiles(left, right, scheme),
-            )
-            expected = np.full((n, root.length), -1)
-            expected[list(root.members)] = root.grid
-            assert np.array_equal(progressive_align(log, scheme, tree).grid, expected)
+        shapes = [random_tree, balanced_tree, chain_tree]
+        # Group budgets at both extremes, one merge per group and a whole
+        # level in one group, and the default.
+        for level_blocks in (0, aligner_module._LEVEL_BLOCKS, 1 << 40):
+            monkeypatch.setattr(aligner_module, "_LEVEL_BLOCKS", level_blocks)
+            for scheme in [ScoringScheme(*s) for s in SCHEMES + NON_DYADIC + [OVERFLOW]]:
+                for trial in range(6):
+                    n = int(rng.integers(2, 13))
+                    # Every other log has one activity per trace, so every leaf
+                    # profile has one column.
+                    max_len = 1 if trial % 2 else 6
+                    log = random_log(rng, n_traces=n, min_len=1, max_len=max_len)
+                    tree = shapes[trial % 3](rng, n)
+                    root = guide_tree_fold_oracle(
+                        tree,
+                        lambda i: Profile.singleton(log, i),
+                        lambda left, right: align_profiles(left, right, scheme),
+                    )
+                    expected = np.full((n, root.length), -1)
+                    expected[list(root.members)] = root.grid
+                    assert np.array_equal(progressive_align(log, scheme, tree).grid, expected)
 
     def test_chain_deeper_than_recursion_limit(self):
         log, tree = chain_log_and_tree(2000)

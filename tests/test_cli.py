@@ -5,8 +5,11 @@ import pytest
 from tracealign import (
     ActivityBlock,
     ProcessModelSpec,
+    ScoringScheme,
     SequenceBlock,
+    consensus_reference,
     load_bundled_model,
+    progressive_align,
     strip_gaps,
 )
 from tracealign.cli import main
@@ -87,6 +90,37 @@ class TestAlign:
         assert_single_line_error(
             code, capsys.readouterr(), f"{bad}:2:6: not UTF-8 text (invalid start byte)"
         )
+
+
+class TestOverflowingScheme:
+    """Scores whose sums overflow to -inf align exactly and print nothing."""
+
+    FLAGS = ["--match=1e300", "--mismatch=-1e308", "--gap=-1e308"]
+    SCHEME = ScoringScheme(1e300, -1e308, -1e308)
+
+    @pytest.fixture
+    def claims_log(self, tmp_path):
+        model = tmp_path / "claims.json"
+        write_model(load_bundled_model("claims"), model)
+        path = tmp_path / "claims.log"
+        assert main(["gen-log", str(model), "-n", "30", "--seed", "7", "-o", str(path)]) == 0
+        return path
+
+    def test_align(self, claims_log, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "out.aln"
+        assert main(["align", str(claims_log), "-o", str(out), *self.FLAGS]) == 0
+        assert capsys.readouterr().err == ""
+        expected = progressive_align(read_log(claims_log), self.SCHEME)
+        assert read_alignment(out).grid.tolist() == expected.grid.tolist()
+
+    def test_consensus(self, claims_log, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "ref.aln"
+        assert main(["consensus", str(claims_log), "-o", str(out), *self.FLAGS]) == 0
+        assert capsys.readouterr().err == ""
+        expected = consensus_reference(read_log(claims_log), self.SCHEME)
+        assert read_alignment(out).grid.tolist() == expected.grid.tolist()
 
 
 class TestEvaluate:

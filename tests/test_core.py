@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_log
-from oracles import label_rows_oracle
+from oracles import label_rows_oracle, validation_oracle
 from tracealign import (
     Activity,
     Alignment,
@@ -324,3 +324,44 @@ def test_progressive_alignment_valid_and_invertible(log):
     a = progressive_align(log)
     assert validate_alignment(a) == []
     assert strip_gaps(a) == log
+
+
+@st.composite
+def broken_alignments(draw):
+    """A left-aligned grid of a small log with defects drawn on top:
+    duplicated, missing, out-of-range and swapped ordinals, all-gap
+    columns and dropped columns."""
+    log = draw(small_logs())
+    width = log.max_trace_length + draw(st.integers(0, 2))
+    grid = np.full((len(log), width), -1, dtype=np.int64)
+    for i, n in enumerate(log.lengths.tolist()):
+        grid[i, :n] = np.arange(n)
+    for _ in range(draw(st.integers(0, 4))):
+        kinds = ["duplicate", "missing", "out_of_range", "swap", "gap_column", "drop"]
+        kind = draw(st.sampled_from(kinds))
+        rows, cols = grid.shape
+        if cols == 0:
+            break
+        i = draw(st.integers(0, rows - 1))
+        j, k = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+        if kind == "duplicate":
+            grid[i, j] = grid[i, k]
+        elif kind == "missing":
+            grid[i, j] = draw(st.sampled_from([-1, -2, -(2**40)]))
+        elif kind == "out_of_range":
+            n = int(log.lengths[i])
+            grid[i, j] = draw(st.sampled_from([n, n + 1, 2**40, 2**63 - 1]))
+        elif kind == "swap":
+            grid[i, j], grid[i, k] = grid[i, k], grid[i, j]
+        elif kind == "gap_column":
+            grid = np.insert(grid, j, -1, axis=1)
+        else:
+            grid = grid[:, : draw(st.integers(0, cols - 1))]
+    return Alignment(log, grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_alignments())
+def test_validation_matches_row_by_row_oracle(alignment):
+    report = [(v.kind, v.row, v.column, v.message) for v in validate_alignment(alignment)]
+    assert report == validation_oracle(alignment)

@@ -12,6 +12,7 @@ from oracles import (
     full_table_profile_fill,
     misalignment_oracle,
     nw_fill,
+    traceback_oracle,
 )
 from tracealign import (
     EventLog,
@@ -53,6 +54,44 @@ def merge_edges(ga, gb):
     return np.append(0.0, np.cumsum(ga)), np.append(0.0, np.cumsum(gb))
 
 
+def pointer_table(ptr, base, la, lb):
+    """One merge's pointer codes, kept diagonal by diagonal, as the full
+    (la + 1, lb + 1) table: LEFT along the first row, UP down the first
+    column, DIAG in the corner."""
+    table = np.empty((la + 1, lb + 1), dtype=np.uint8)
+    table[0, :], table[:, 0], table[0, 0] = _kernels.LEFT, _kernels.UP, _kernels.DIAG
+    i, j = np.mgrid[1 : la + 1, 1 : lb + 1]
+    table[1:, 1:] = ptr[np.asarray(base, dtype=np.int64)[i + j] + i]
+    return table
+
+
+def fill_merges(merges):
+    """``profile_fill`` over merges ``(s, ga, gb)``, each zero-padded into one
+    slab as the level fold builds it; each merge's full pointer table, its
+    score and its traceback."""
+    la = np.array([s.shape[0] for s, _, _ in merges], dtype=np.int64)
+    lb = np.array([s.shape[1] for s, _, _ in merges], dtype=np.int64)
+    A, B, M = int(la.max()), int(lb.max()), len(merges)
+    slab, ga_slab, gb_slab = np.zeros((A, B, M)), np.zeros((A, M)), np.zeros((B, M))
+    col0, row0 = np.zeros((A + 1, M)), np.zeros((B + 1, M))
+    for m, (s, ga, gb) in enumerate(merges):
+        slab[: la[m], : lb[m], m] = s
+        ga_slab[: la[m], m], gb_slab[: lb[m], m] = ga, gb
+        with np.errstate(over="ignore"):
+            col0[: la[m] + 1, m], row0[: lb[m] + 1, m] = merge_edges(ga, gb)
+    # Outside any errstate: the sweep itself must raise no overflow warning.
+    ptr, base, score = _kernels.profile_fill(slab, ga_slab, gb_slab, col0, row0, la, lb)
+    assert ptr.shape[1] == M and len(base) == A + B + 1 and score.shape == (M,)
+    return [
+        (
+            pointer_table(ptr[:, m], base, la[m], lb[m]),
+            float(score[m]),
+            _kernels.traceback(ptr[:, m], base, la[m], lb[m]),
+        )
+        for m in range(M)
+    ]
+
+
 def overflow_allowed(scheme):
     """Silence float overflow for ``OVERFLOW`` only; finite scores make no NaN."""
     return np.errstate(over="ignore") if scheme == OVERFLOW else np.errstate()
@@ -78,7 +117,7 @@ class TestNwFill:
             with overflow_allowed(scheme):
                 alignment, score = pairwise_align(*traces(a, b), ScoringScheme(*scheme))
                 h, ptr = nw_fill(a, b, *scheme)
-            assert np.array_equal(alignment.grid, np.stack(_kernels.traceback(ptr)))
+            assert np.array_equal(alignment.grid, np.stack(traceback_oracle(ptr)))
             assert score.hex() == float(h[-1, -1]).hex()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -97,9 +136,10 @@ class TestProfileFill:
     @staticmethod
     def check(s, ga, gb):
         h, expected = full_table_profile_fill(s, ga, gb)
-        ptr, score = _kernels.profile_fill(s, ga, gb, *merge_edges(ga, gb))
+        [(ptr, score, path)] = fill_merges([(s, ga, gb)])
         assert np.array_equal(ptr, expected)
         assert score.hex() == float(h[-1, -1]).hex()
+        assert np.array_equal(np.stack(path), np.stack(traceback_oracle(expected)))
 
     def test_pointers_match_full_table_fill(self, rng, monkeypatch):
         for block_cells in BLOCK_CELLS:
@@ -135,14 +175,66 @@ class TestProfileFill:
                 with overflow_allowed(scheme):
                     self.check(s, np.full(la, gap), np.full(lb, gap))
 
+    def test_merges_in_one_sweep_match_full_table_fill(self, rng, monkeypatch):
+        for block_cells in BLOCK_CELLS:
+            monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
+            for trial in range(9):
+                n = int(rng.integers(1, 25))
+                # One-row, one-column, square and very unequal merges share a slab.
+                shapes = [(1, n), (n, 1), (n, n), (2, 3 * n + 5), (3 * n + 5, 2)]
+                shapes += [tuple(rng.integers(0, 13, size=2).tolist()) for _ in range(trial % 4)]
+                merges = []
+                for k in rng.permutation(len(shapes)).tolist():
+                    la, lb = shapes[k]
+                    if trial % 2:
+                        # Integer scores force ties, so the tie-break is compared too.
+                        s = rng.integers(-2, 3, size=(la, lb)).astype(np.float64)
+                        ga = -rng.integers(0, 2, size=la).astype(np.float64)
+                        gb = -rng.integers(0, 2, size=lb).astype(np.float64)
+                    else:
+                        s = rng.normal(size=(la, lb))
+                        ga, gb = rng.normal(size=la) * 0.1, rng.normal(size=lb) * 0.1
+                    merges.append((s, ga, gb))
+                poisoned = trial % 3 == 2
+                if poisoned:
+                    # NaN and infinities in one merge's pair scores reach no other merge.
+                    s = merges[int(rng.integers(len(merges)))][0]
+                    s[rng.random(size=s.shape) < 0.3] = np.nan
+                    s[rng.random(size=s.shape) < 0.2] = np.inf
+                    s[rng.random(size=s.shape) < 0.2] = -np.inf
+                with np.errstate(invalid="ignore") if poisoned else np.errstate():
+                    filled = fill_merges(merges)
+                    for (s, ga, gb), (ptr, score, path) in zip(merges, filled):
+                        h, expected = full_table_profile_fill(s, ga, gb)
+                        assert np.array_equal(ptr, expected)
+                        assert score.hex() == float(h[-1, -1]).hex()
+                        assert np.array_equal(np.stack(path), np.stack(traceback_oracle(expected)))
+
+    @pytest.mark.parametrize("scheme", NON_DYADIC + [OVERFLOW])
+    def test_scheme_merges_in_one_sweep_match_full_table_fill(self, rng, monkeypatch, scheme):
+        match, mismatch, gap = scheme
+        for block_cells in BLOCK_CELLS:
+            monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
+            merges = []
+            for la, lb in profile_shapes(rng):
+                a, b = rng.integers(0, 3, size=la), rng.integers(0, 3, size=lb)
+                s = np.where(a[:, None] == b[None, :], match, mismatch)
+                merges.append((s, np.full(la, gap), np.full(lb, gap)))
+            filled = fill_merges(merges)
+            for (s, ga, gb), (ptr, score, path) in zip(merges, filled):
+                with overflow_allowed(scheme):
+                    h, expected = full_table_profile_fill(s, ga, gb)
+                assert np.array_equal(ptr, expected)
+                assert score.hex() == float(h[-1, -1]).hex()
+                assert np.array_equal(np.stack(path), np.stack(traceback_oracle(expected)))
+
     def test_traced_path_scores_the_best_path(self, rng):
         for la, lb in itertools.product(range(6), repeat=2):
             # Quarter-integer scores keep every sum exact in float64.
             s = rng.integers(-8, 9, size=(la, lb)) / 4.0
             ga = -rng.integers(0, 5, size=la) / 4.0
             gb = -rng.integers(0, 5, size=lb) / 4.0
-            ptr, _ = _kernels.profile_fill(s, ga, gb, *merge_edges(ga, gb))
-            first, second = _kernels.traceback(ptr)
+            [(_, _, (first, second))] = fill_merges([(s, ga, gb)])
             traced = sum(
                 s[i, j] if i >= 0 and j >= 0 else ga[i] if i >= 0 else gb[j]
                 for i, j in zip(first.tolist(), second.tolist())
