@@ -5,13 +5,14 @@ matrix of pair scores and per-position gap costs.  Pairwise alignment
 and every profile merge run it, and the merges of one guide-tree level
 run it together: merge m is the last axis of a zero-padded (A, B, M)
 slab, so one anti-diagonal of every merge is one strided slice.  It
-keeps a block of whole diagonals in one buffer and derives the pointer
-codes of the block at once.  All-pairs scoring (``nw_scores``) runs its
-recurrence for constant scores, keeping only the scores, with the same
-float64 results, fill order and tie-breaking; its pairs are the columns
-of each array, so a block of pairs sweeps one contiguous slab per
-diagonal.  Both sweeps let float overflow run to +-inf, which is exact,
-without a warning.  Misalignment
+fills the whole slab, keeps a block of whole diagonals in one buffer,
+derives the pointer codes of the block at once and returns the slab's
+last cell, the score of every merge as large as the slab.  All-pairs
+scoring (``nw_scores``) runs its recurrence for constant scores, keeping
+only the scores, with the same float64 results, fill order and
+tie-breaking; its pairs are the columns of each array, so a block of
+pairs sweeps one contiguous slab per diagonal.  Both sweeps let float
+overflow run to +-inf, which is exact, without a warning.  Misalignment
 scoring (``ms_pattern``) scores every pattern of an instance index in
 one blocked pass per alignment, summing each pattern in int64; it and
 the column statistics are whole-array numpy passes.  There is no other
@@ -38,10 +39,11 @@ DIAG, UP, LEFT = 0, 1, 2
 # pairs x (A + B + 1) for the block's longest sides A and B.  It bounds
 # both the rolling diagonals and the gathered codes, so a block's
 # temporaries stay well under a megabyte.  ``profile_fill`` buffers that
-# many cells of candidates before it writes their pointer codes, and
-# ``ms_pattern`` cuts its work under the same budget, counted as (N, N)
-# pair tables and as instance rows x pattern length x N, but never below
-# one (N, N) table.
+# many cells of candidates before it writes their pointer codes,
+# ``aligner._column_pair_scores`` writes pair scores in blocks of rows of
+# that many cells, and ``ms_pattern`` cuts its work under the same
+# budget, counted as (N, N) pair tables and as instance rows x pattern
+# length x N, but never below one (N, N) table.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -128,8 +130,8 @@ def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
 # alignment and profile merges alike.
 
 
-def profile_fill(s, ga, gb, col0, row0, la, lb):
-    """Traceback pointers and best scores of M global alignment DPs, one sweep.
+def profile_fill(s, ga, gb, col0, row0):
+    """Traceback pointers of M global alignment DPs over one slab, one sweep.
 
     Merge m is the last axis of every array.  ``s[i, j, m]`` scores
     position i of merge m's first side against position j of its second,
@@ -138,12 +140,12 @@ def profile_fill(s, ga, gb, col0, row0, la, lb):
     and row of each merge's score table; both start with the corner
     h[0, 0].  The caller passes them because the same gap costs summed two
     ways can differ in the last bit: a profile merge passes running sums
-    of ``ga`` and ``gb``, ``pairwise_align`` passes ``gap * k``.  Merge
-    m's sides are ``la[m]`` and ``lb[m]``; past them the (A, B, M) slab is
-    zero padding.  A padding cell never feeds a real one, whose candidates
-    only look up and left, and zeros keep it finite wherever the real
-    cells are, so it adds no float warning.  One merge (``M = 1``) needs
-    no padding, and its arrays drop the merge axis inside the sweep.
+    of ``ga`` and ``gb``, ``pairwise_align`` passes ``gap * k``.  Every
+    merge fills the whole (A, B) slab, zero-padded past its own sides.  A
+    padding cell never feeds a real one, whose candidates only look up and
+    left, and zeros keep it finite wherever the real cells are, so it adds
+    no float warning.  One merge (``M = 1``) needs no padding, and its
+    arrays drop the merge axis inside the sweep.
 
     The sweep runs over anti-diagonals; one diagonal of every merge is
     one ``(cells, M)`` basic strided slice of ``s``.  Diagonal d keeps
@@ -158,9 +160,10 @@ def profile_fill(s, ga, gb, col0, row0, la, lb):
     1 <= i <= A and 1 <= j <= B, is ``ptr[base[i + j] + i]``, and the
     first row and column, where a traceback has one way to go, have none.
     Ties prefer DIAG, then UP, then LEFT.  Float overflow to +-inf is
-    exact here and raises no warning.  Returns ``(ptr, base, score)``:
+    exact here and raises no warning.  Returns ``(ptr, base, corner)``:
     ``ptr`` is (rows, M), ``base`` a list of A + B + 1 offsets and
-    ``score[m] = h_m[la[m], lb[m]]``.
+    ``corner[m] = h_m[A, B]``, the best score of every merge whose sides
+    are the slab's.
     """
     A, B, M = s.shape
 
@@ -184,11 +187,6 @@ def profile_fill(s, ga, gb, col0, row0, la, lb):
     top, bottom = seg[: B + 1], seg[1 : A + 2] - 1
     ptr = np.empty((int(seg[-1]), M), dtype=np.uint8)
     ptr_cells = by_cell(ptr)
-    # The merges whose last cell (la, lb) lies on each diagonal.
-    ends: dict[int, list[int]] = {}
-    for m, total in enumerate((la + lb).tolist()):
-        ends.setdefault(total, []).append(m)
-    score = np.empty(M, dtype=np.float64)
     # Scores, DIAG and UP candidates: two kept diagonals, then a block.
     # A diagonal has at most min(A, B) + 2 rows, so three always fit, and
     # no buffer outgrows the whole sweep.
@@ -220,10 +218,6 @@ def profile_fill(s, ga, gb, col0, row0, la, lb):
                 best = np.add(h[up_at + 1 : up_at + n + 1], gb_d, out=h[out])
                 np.maximum(up, best, out=best)
                 np.maximum(diag, best, out=best)
-            for d in range(first, last):
-                done = ends.get(d)
-                if done is not None:
-                    score[done] = h.reshape(-1, M)[base[d] - shift + la[done], done]
             rows = slice(seg_at[first] - shift, seg_at[last] - shift)
             codes = ptr_cells[seg_at[first] : seg_at[last]]
             _write_codes(codes, diag_buf[rows], up_buf[rows], h[rows])
@@ -231,7 +225,9 @@ def profile_fill(s, ga, gb, col0, row0, la, lb):
             keep = seg_at[max(last - 2, 0)]
             h[: seg_at[last] - keep] = h[keep - shift : seg_at[last] - shift].copy()
             first, shift = last, keep
-    return ptr, base, score
+    # The last block kept diagonal A + B in h; h[A, B] is its row base + A, less shift.
+    corner = h.reshape(-1, M)[base[A + B] - shift + A].copy()
+    return ptr, base, corner
 
 
 def _write_codes(out, diag, up, best):

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import Alignment, EventLog, Trace
+from .core import Alignment, EventLog, Trace, grid_codes
 
 __all__ = [
     "ScoringScheme",
@@ -132,11 +132,7 @@ class Profile:
         Not kept: ``frequencies`` reads it once, and a kept copy would
         stay alive, rows x columns, with every profile still to merge.
         """
-        padded = self.source.padded_codes
-        member_rows = padded[np.asarray(self.members)]
-        safe = np.clip(self.grid, 0, None)
-        rows = np.arange(len(self.members))[:, None]
-        return np.where(self.grid >= 0, member_rows[rows, safe], -1)
+        return grid_codes(self.source, self.members, self.grid)
 
     @cached_property
     def frequencies(self) -> np.ndarray:
@@ -168,9 +164,9 @@ def pairwise_align(
     # First column and row at gap * k, as in ``nw_scores``, so both score alike.
     col0 = scheme.gap * np.arange(a.size + 1)[:, None]
     row0 = scheme.gap * np.arange(b.size + 1)[:, None]
-    ptr, base, score = _kernels.profile_fill(s, ga, gb, col0, row0, log.lengths[:1], log.lengths[1:])
+    ptr, base, corner = _kernels.profile_fill(s, ga, gb, col0, row0)
     row1, row2 = _kernels.traceback(ptr[:, 0], base, a.size, b.size)
-    return Alignment(log, np.stack([row1, row2])), float(score[0])
+    return Alignment(log, np.stack([row1, row2])), float(corner[0])
 
 
 def _variant_ids(log: EventLog) -> np.ndarray:
@@ -258,8 +254,6 @@ def build_guide_tree(distances: np.ndarray) -> GuideTree:
     return trees[0]
 
 
-# Cells of one block of rows of ``_column_pair_scores``.
-_SCORE_BLOCK_CELLS = 1 << 14
 # The merges of one guide-tree level share a ``profile_fill`` sweep in
 # groups whose slab holds at most this many ``_kernels._BLOCK_CELLS``
 # (one megabyte of float64).  Larger slabs save few diagonals but raise
@@ -282,7 +276,7 @@ def _column_pair_scores(p1: Profile, p2: Profile, scheme: ScoringScheme):
     # buffers, so the peak memory of a merge no longer triples with its
     # size.  ``same += block`` adds the same two floats as ``block + same``.
     s = a @ b.T
-    step = max(1, _SCORE_BLOCK_CELLS // max(1, s.shape[1]))
+    step = max(1, _kernels._BLOCK_CELLS // max(1, s.shape[1]))
     cross, faces, other = (np.empty((min(step, s.shape[0]), s.shape[1])) for _ in range(3))
     for lo in range(0, s.shape[0], step):
         rows = slice(lo, lo + step)
@@ -343,7 +337,7 @@ def _merge_profiles(pairs: list, scheme: ScoringScheme) -> list[Profile]:
             del s_m
             np.cumsum(ga[: la[m], m], out=col0[1 : la[m] + 1, m])
             np.cumsum(gb[: lb[m], m], out=row0[1 : lb[m] + 1, m])
-    ptr, base, _ = _kernels.profile_fill(s, ga, gb, col0, row0, la, lb)
+    ptr, base, _ = _kernels.profile_fill(s, ga, gb, col0, row0)
     del s
 
     def spread(grid: np.ndarray, take: np.ndarray) -> np.ndarray:
@@ -368,8 +362,7 @@ def _drop_all_gap_columns(grid: np.ndarray) -> np.ndarray:
 
 def _profile_to_alignment(profile: Profile) -> Alignment:
     grid = np.full((len(profile.source), profile.length), -1, dtype=np.int64)
-    for row, member in enumerate(profile.members):
-        grid[member] = profile.grid[row]
+    grid[list(profile.members)] = profile.grid
     return Alignment(profile.source, grid)
 
 

@@ -269,10 +269,7 @@ class Alignment:
     @cached_property
     def codes(self) -> np.ndarray:
         """(R, L) activity-code view of the grid; gaps stay -1."""
-        padded = self.source.padded_codes
-        safe = np.clip(self.grid, 0, None)
-        rows = np.arange(self.n_rows)[:, None]
-        out = np.where(self.grid >= 0, padded[rows, safe], -1)
+        out = grid_codes(self.source, np.arange(self.n_rows), self.grid)
         out.setflags(write=False)
         return out
 
@@ -348,6 +345,12 @@ class Alignment:
         grid = np.full(cells.size, -1, dtype=np.int64)
         grid[labelled] = ordinal
         return cls(source, [grid[end - width : end] for end, width in zip(ends, widths)])
+
+
+def grid_codes(source: EventLog, traces: Sequence[int], grid: np.ndarray) -> np.ndarray:
+    """Activity codes of ``grid``, whose row r holds trace ``traces[r]``; gaps stay -1."""
+    rows = np.asarray(traces)[:, None]
+    return np.where(grid >= 0, source.padded_codes[rows, np.clip(grid, 0, None)], -1)
 
 
 @dataclass(frozen=True)

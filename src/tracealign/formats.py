@@ -154,9 +154,15 @@ def read_alignment(path: str | Path) -> Alignment:
                 continue
             if line.startswith("#L="):
                 try:
-                    length = int(line[3:])
+                    count = int(line[3:])
                 except ValueError:
+                    count = 0
+                if count < 1:
                     raise FileFormatError(path, line_no, 4, f"bad column count {line[3:]!r}")
+                if length is not None and count != length:
+                    message = f"column count {count} contradicts the earlier #L={length}"
+                    raise FileFormatError(path, line_no, 4, message)
+                length = count
                 continue
             if not line or line.startswith("#"):
                 continue

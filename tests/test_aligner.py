@@ -20,6 +20,7 @@ from tracealign import (
     Profile,
     ScoringScheme,
     Trace,
+    _kernels,
     align_profiles,
     alignment_complexity,
     build_guide_tree,
@@ -344,7 +345,7 @@ class TestAlignProfiles:
     def test_blocked_pair_scores_equal_whole_matrix_formula(self, monkeypatch, block_cells):
         # The scores are written one block of rows at a time; every cell
         # must carry the bits of the whole-matrix expression.
-        monkeypatch.setattr(aligner_module, "_SCORE_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(21)
         scheme = ScoringScheme(2.0, -0.5, -1.25)
         for _ in range(10):

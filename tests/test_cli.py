@@ -155,6 +155,22 @@ class TestEvaluate:
         code = main(["evaluate", str(alignment_path), "--gap", "nan", "-f", "json"])
         assert_single_line_error(code, capsys.readouterr(), "gap score must be finite, got nan")
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "#L=2\nc1\ta\tb\n#L=3\nc2\ta\tb\tc\n",
+                "4:4: column count 3 contradicts the earlier #L=2",
+            ),
+            ("#L=-1\nc1\ta\n", "2:4: bad column count '-1'"),
+        ],
+    )
+    def test_bad_column_count_is_single_line(self, tmp_path, capsys, body, message):
+        aln = tmp_path / "bad.aln"
+        aln.write_text("#tracealign-alignment v1\n" + body)
+        code = main(["evaluate", str(aln)])
+        assert_single_line_error(code, capsys.readouterr(), f"{aln}:{message}")
+
     def test_one_activity_log_has_empty_census(self, one_activity_log_path, tmp_path, capsys):
         aln = tmp_path / "single.aln"
         assert main(["align", str(one_activity_log_path), "-o", str(aln)]) == 0

@@ -125,6 +125,26 @@ class TestAlignmentFormat:
         with pytest.raises(FileFormatError, match="expected 3 cells"):
             read_alignment(path)
 
+    def test_contradictory_column_count_is_located(self, tmp_path):
+        path = tmp_path / "bad.aln"
+        path.write_text("#tracealign-alignment v1\n#L=2\nc1\ta\tb\n#L=3\nc2\ta\tb\tc\n")
+        with pytest.raises(FileFormatError) as info:
+            read_alignment(path)
+        assert str(info.value) == f"{path}:4:4: column count 3 contradicts the earlier #L=2"
+
+    def test_repeated_column_count_is_accepted(self, tmp_path):
+        path = tmp_path / "twice.aln"
+        path.write_text("#tracealign-alignment v1\n#L=2\nc1\ta\tb\n#L=2\nc2\ta\t-\n")
+        assert read_alignment(path).grid.tolist() == [[0, 1], [0, -1]]
+
+    @pytest.mark.parametrize("count", ["-1", "0", "x", ""])
+    def test_column_count_below_one_rejected(self, tmp_path, count):
+        path = tmp_path / "bad.aln"
+        path.write_text(f"#tracealign-alignment v1\n#L={count}\nc1\ta\n")
+        with pytest.raises(FileFormatError) as info:
+            read_alignment(path)
+        assert str(info.value) == f"{path}:2:4: bad column count {count!r}"
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.aln"
         path.write_text("c1\ta\tb\n")

@@ -68,7 +68,12 @@ def pointer_table(ptr, base, la, lb):
 def fill_merges(merges):
     """``profile_fill`` over merges ``(s, ga, gb)``, each zero-padded into one
     slab as the level fold builds it; each merge's full pointer table, its
-    score and its traceback."""
+    score and its traceback.
+
+    The sweep returns one score per merge, the slab's last cell, and that
+    is the score only of a merge whose sides are the slab's; every other
+    merge's score is None.
+    """
     la = np.array([s.shape[0] for s, _, _ in merges], dtype=np.int64)
     lb = np.array([s.shape[1] for s, _, _ in merges], dtype=np.int64)
     A, B, M = int(la.max()), int(lb.max()), len(merges)
@@ -80,16 +85,21 @@ def fill_merges(merges):
         with np.errstate(over="ignore"):
             col0[: la[m] + 1, m], row0[: lb[m] + 1, m] = merge_edges(ga, gb)
     # Outside any errstate: the sweep itself must raise no overflow warning.
-    ptr, base, score = _kernels.profile_fill(slab, ga_slab, gb_slab, col0, row0, la, lb)
-    assert ptr.shape[1] == M and len(base) == A + B + 1 and score.shape == (M,)
+    ptr, base, corner = _kernels.profile_fill(slab, ga_slab, gb_slab, col0, row0)
+    assert ptr.shape[1] == M and len(base) == A + B + 1 and corner.shape == (M,)
     return [
         (
             pointer_table(ptr[:, m], base, la[m], lb[m]),
-            float(score[m]),
+            float(corner[m]) if (la[m], lb[m]) == (A, B) else None,
             _kernels.traceback(ptr[:, m], base, la[m], lb[m]),
         )
         for m in range(M)
     ]
+
+
+def check_score(score, h):
+    """A merge's score, where the sweep gives one, has the bits of ``h[-1, -1]``."""
+    assert score is None or score.hex() == float(h[-1, -1]).hex()
 
 
 def overflow_allowed(scheme):
@@ -207,7 +217,7 @@ class TestProfileFill:
                     for (s, ga, gb), (ptr, score, path) in zip(merges, filled):
                         h, expected = full_table_profile_fill(s, ga, gb)
                         assert np.array_equal(ptr, expected)
-                        assert score.hex() == float(h[-1, -1]).hex()
+                        check_score(score, h)
                         assert np.array_equal(np.stack(path), np.stack(traceback_oracle(expected)))
 
     @pytest.mark.parametrize("scheme", NON_DYADIC + [OVERFLOW])
@@ -225,8 +235,28 @@ class TestProfileFill:
                 with overflow_allowed(scheme):
                     h, expected = full_table_profile_fill(s, ga, gb)
                 assert np.array_equal(ptr, expected)
-                assert score.hex() == float(h[-1, -1]).hex()
+                check_score(score, h)
                 assert np.array_equal(np.stack(path), np.stack(traceback_oracle(expected)))
+
+    def test_full_size_merges_in_one_sweep_score_the_corner(self, rng, monkeypatch):
+        for block_cells in BLOCK_CELLS:
+            monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
+            for A, B in [(0, 5), (5, 0), (1, 1), (4, 9), (13, 6)]:
+                # Two merges as large as the slab, between two that are not.
+                shapes = [(A, B), (A // 2, B), (A, B), (A, B // 2)]
+                merges = [
+                    (rng.normal(size=(la, lb)), rng.normal(size=la), rng.normal(size=lb))
+                    for la, lb in shapes
+                ]
+                filled = fill_merges(merges)
+                assert [score is not None for _, score, _ in filled] == [
+                    shape == (A, B) for shape in shapes
+                ]
+                for (s, ga, gb), (ptr, score, path) in zip(merges, filled):
+                    h, expected = full_table_profile_fill(s, ga, gb)
+                    assert np.array_equal(ptr, expected)
+                    check_score(score, h)
+                    assert np.array_equal(np.stack(path), np.stack(traceback_oracle(expected)))
 
     def test_traced_path_scores_the_best_path(self, rng):
         for la, lb in itertools.product(range(6), repeat=2):
