@@ -355,11 +355,6 @@ def _merge_profiles(pairs: list, scheme: ScoringScheme) -> list[Profile]:
     return merged
 
 
-def _drop_all_gap_columns(grid: np.ndarray) -> np.ndarray:
-    keep = (grid >= 0).any(axis=0)
-    return grid[:, keep]
-
-
 def _profile_to_alignment(profile: Profile) -> Alignment:
     grid = np.full((len(profile.source), profile.length), -1, dtype=np.int64)
     grid[list(profile.members)] = profile.grid
@@ -465,6 +460,11 @@ def _shape_id(tree: GuideTree, variants: np.ndarray, shapes: dict[tuple[int, int
     return pending.pop()
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def consensus_reference(
     log: EventLog,
     scheme: ScoringScheme = DEFAULT_SCHEME,
@@ -488,6 +488,7 @@ def consensus_reference(
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    _check_seed(seed)
     d = distance_matrix(log, scheme)
     variants = _variant_ids(log)
     shapes: dict[tuple[int, int], int] = {}

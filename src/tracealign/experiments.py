@@ -17,7 +17,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .aligner import DEFAULT_SCHEME, ScoringScheme, _drop_all_gap_columns, consensus_reference
+from .aligner import DEFAULT_SCHEME, ScoringScheme, _check_seed, consensus_reference
 from .core import (
     Alignment,
     DegenerateReferenceError,
@@ -73,45 +73,50 @@ def perturb(reference: Alignment, moves: int, seed: int = 0) -> PerturbedAlignme
 
     Each move picks an occupied cell uniformly and slides it into a gap
     cell of the adjacent gap run on either side (so it never crosses
-    another occurrence of its row).  When both neighbors are occupied or
-    the row edge blocks the way, a fresh gap column is inserted next to
-    the cell and the occurrence moves into it.  All-gap columns are
+    another occurrence of its row), drawn from the left run nearest
+    first, then the right run.  When both neighbors are occupied or the
+    row edge blocks the way, a fresh gap column is inserted next to the
+    cell and the occurrence moves into it.  All-gap columns are
     compacted afterwards; the underlying traces are untouched.
+
+    A move keeps its cell strictly between its row neighbors, so the
+    occupied cells stay one row-major list whose columns are edited in
+    place, and a gap run lies between two neighbors' columns.  Any grid
+    works: ordinals are carried as they are, a negative value is a gap
+    kept until a move lands on it, and emptied or new cells hold -1.
     """
+    _check_seed(seed)
     if moves < 0:
         raise ValueError(f"moves must be >= 0, got {moves}")
     grid = np.array(reference.grid)
     if moves == 0:
         return PerturbedAlignment(Alignment(reference.source, grid), 0, seed)
     rng = np.random.default_rng(seed)
+    length = grid.shape[1]
+    rows, cols = np.nonzero(grid >= 0)
+    values = grid[rows, cols]
+    odd_gaps = {(r, c): grid[r, c] for r, c in zip(*np.nonzero(grid < -1))}  # gaps not -1
     for _ in range(moves):
-        rows, cols = np.nonzero(grid >= 0)
         pick = int(rng.integers(rows.size))
         i, j = int(rows[pick]), int(cols[pick])
-        length = grid.shape[1]
-
-        targets: list[int] = []
-        col = j - 1
-        while col >= 0 and grid[i, col] < 0:
-            targets.append(col)
-            col -= 1
-        col = j + 1
-        while col < length and grid[i, col] < 0:
-            targets.append(col)
-            col += 1
-
-        if targets:
-            target = int(targets[int(rng.integers(len(targets)))])
-            grid[i, target] = grid[i, j]
-            grid[i, j] = -1
+        lo = int(cols[pick - 1]) + 1 if pick > 0 and rows[pick - 1] == i else 0
+        hi = int(cols[pick + 1]) if pick + 1 < rows.size and rows[pick + 1] == i else length
+        if hi - lo > 1:
+            t = int(rng.integers(hi - lo - 1))
+            cols[pick] = j - 1 - t if t < j - lo else lo + 1 + t
+            odd_gaps.pop((i, cols[pick]), None)
         else:
             insert_at = j if rng.integers(2) == 0 else j + 1
-            column = np.full((grid.shape[0], 1), -1, dtype=np.int64)
-            grid = np.concatenate([grid[:, :insert_at], column, grid[:, insert_at:]], axis=1)
-            source = insert_at + 1 if insert_at == j else j
-            grid[i, insert_at] = grid[i, source]
-            grid[i, source] = -1
-    return PerturbedAlignment(Alignment(reference.source, _drop_all_gap_columns(grid)), moves, seed)
+            cols[cols >= insert_at] += 1
+            odd_gaps = {(r, c + (c >= insert_at)): v for (r, c), v in odd_gaps.items()}
+            cols[pick] = insert_at
+            length += 1
+    grid = np.full((grid.shape[0], length), -1, dtype=np.int64)
+    for (r, c), value in odd_gaps.items():
+        grid[r, c] = value
+    grid[rows, cols] = values
+    grid = grid[:, (grid >= 0).any(axis=0)]
+    return PerturbedAlignment(Alignment(reference.source, grid), moves, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +326,7 @@ def generate_log(spec: ProcessModelSpec, n_traces: int, seed: int = 0) -> EventL
     """Sample ``n_traces`` independent traces from a process model."""
     if n_traces < 1:
         raise ValueError(f"n_traces must be >= 1, got {n_traces}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     width = len(str(n_traces - 1))
     traces = []
@@ -400,14 +406,15 @@ def _labelled_samples(
     Returns the consensus reference, the log's instance index at
     ``tf_ratio`` and an iterator over ``(moves, alignment)``: ``samples``
     perturbations of the reference with move counts spread evenly over
-    [0, max_moves], each from its own seed.  ``samples``, ``max_moves``
-    and ``tf_ratio`` are checked before the reference is built.
+    [0, max_moves], each from its own seed.  ``samples``, ``max_moves``,
+    ``tf_ratio`` and ``seed`` are checked before the reference is built.
     """
     if samples < 10:
         raise ValueError(f"samples must be >= 10, got {samples}")
     if max_moves < 0:
         raise ValueError(f"max_moves must be >= 0, got {max_moves}")
     _check_tf_ratio(tf_ratio)
+    _check_seed(seed)
     reference = consensus_reference(log, scheme, k=k, seed=seed)
     index = _InstanceIndex.of_census(_frequent_census(log, tf_ratio), log, tf_ratio)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]

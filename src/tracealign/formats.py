@@ -153,9 +153,9 @@ def read_alignment(path: str | Path) -> Alignment:
                 _check_version(path, line_no, line, ALIGNMENT_MAGIC)
                 continue
             if line.startswith("#L="):
-                try:
-                    count = int(line[3:])
-                except ValueError:
+                try:  # ASCII digits only; int() also takes signs, spaces, "_", other digits
+                    count = int(line[3:]) if line[3:].encode().isdigit() else 0
+                except ValueError:  # more digits than int() converts
                     count = 0
                 if count < 1:
                     raise FileFormatError(path, line_no, 4, f"bad column count {line[3:]!r}")

@@ -25,7 +25,9 @@ is a frozen copy of the cell-by-cell loop that built a grid from label
 rows, with its error messages, and the validation oracle is a frozen
 copy of the row-by-row loop that checked an alignment's rows.  The
 traceback oracle walks a full pointer table, as the kernel did before it
-kept its codes diagonal by diagonal.
+kept its codes diagonal by diagonal.  The perturbation oracle is a
+frozen copy of the ``perturb`` loop that rescanned the whole grid on
+every move and spliced in each inserted column.
 """
 
 import itertools
@@ -498,3 +500,47 @@ def traceback_oracle(ptr):
     first.reverse()
     second.reverse()
     return np.asarray(first, dtype=np.int64), np.asarray(second, dtype=np.int64)
+
+
+def perturb_oracle(grid, moves, seed):
+    """The grid ``perturb`` makes from ``grid``, rescanning the grid on every move.
+
+    A frozen copy of the loop that came before the occupied cells were
+    kept as one row-major list: each move finds the occupied cells with
+    ``np.nonzero``, walks the gap runs next to the picked one cell by
+    cell, and inserts a column by splicing the grid.
+    """
+    if moves < 0:
+        raise ValueError(f"moves must be >= 0, got {moves}")
+    grid = np.array(grid)
+    if moves == 0:
+        return grid
+    rng = np.random.default_rng(seed)
+    for _ in range(moves):
+        rows, cols = np.nonzero(grid >= 0)
+        pick = int(rng.integers(rows.size))
+        i, j = int(rows[pick]), int(cols[pick])
+        length = grid.shape[1]
+
+        targets = []
+        col = j - 1
+        while col >= 0 and grid[i, col] < 0:
+            targets.append(col)
+            col -= 1
+        col = j + 1
+        while col < length and grid[i, col] < 0:
+            targets.append(col)
+            col += 1
+
+        if targets:
+            target = int(targets[int(rng.integers(len(targets)))])
+            grid[i, target] = grid[i, j]
+            grid[i, j] = -1
+        else:
+            insert_at = j if rng.integers(2) == 0 else j + 1
+            column = np.full((grid.shape[0], 1), -1, dtype=np.int64)
+            grid = np.concatenate([grid[:, :insert_at], column, grid[:, insert_at:]], axis=1)
+            source = insert_at + 1 if insert_at == j else j
+            grid[i, insert_at] = grid[i, source]
+            grid[i, source] = -1
+    return grid[:, (grid >= 0).any(axis=0)]

@@ -384,3 +384,24 @@ class TestDeterminismAcrossCommands:
                 tuple(p.read_bytes() for p in (log_path, aln_path, ref_path, pert_path))
             )
         assert files[0] == files[1]
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "command, input_fixture, extra",
+        [
+            ("consensus", "log_path", ["-o", "out.aln"]),
+            ("perturb", "alignment_path", ["--moves", "3", "-o", "out.aln"]),
+            ("gen-log", "model_path", ["-n", "3", "-o", "out.log"]),
+            ("correlate", "log_path", ["--samples", "10", "-k", "1"]),
+        ],
+        ids=["consensus", "perturb", "gen-log", "correlate"],
+    )
+    def test_is_single_line(self, request, tmp_path, capsys, command, input_fixture, extra):
+        path = request.getfixturevalue(input_fixture)
+        extra = [str(tmp_path / arg) if arg.startswith("out.") else arg for arg in extra]
+        code = main([command, str(path), "--seed", "-1", *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "tracealign: error: seed must be >= 0, got -1\n"
+        assert not list(tmp_path.glob("out.*"))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_log
+from oracles import perturb_oracle
 from tracealign import experiments
 from tracealign import (
     ActivityBlock,
@@ -102,6 +105,75 @@ class TestPerturb:
     def test_rejects_negative_moves(self):
         with pytest.raises(ValueError):
             perturb(lower_bound_alignment(), -1)
+
+
+@st.composite
+def valid_alignments(draw):
+    """Each trace's occurrences at sorted distinct columns, all-gap columns dropped."""
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    width = max(lengths) + draw(st.integers(0, 3))
+    grid = np.full((len(lengths), width), -1, dtype=np.int64)
+    for i, n in enumerate(lengths):
+        columns = draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n, unique=True))
+        grid[i, sorted(columns)] = np.arange(n)
+    log = EventLog([Trace(f"t{i}", ["a"] * n) for i, n in enumerate(lengths)])
+    return Alignment(log, grid[:, (grid >= 0).any(axis=0)])
+
+
+@st.composite
+def arbitrary_grids(draw):
+    """Any int64 values: out-of-order and out-of-range ordinals, gaps other
+    than -1, all-gap columns, zero columns and rows with no occupied cell."""
+    n_rows = draw(st.integers(1, 4))
+    width = draw(st.integers(0, 6))
+    values = st.sampled_from([-1, -1, -1, -2, -(2**40), 0, 1, 2, 5, 2**63 - 1])
+    cells = draw(st.lists(values, min_size=n_rows * width, max_size=n_rows * width))
+    log = EventLog([Trace(f"t{i}", ["a"]) for i in range(n_rows)])
+    return Alignment(log, np.array(cells, dtype=np.int64).reshape(n_rows, width))
+
+
+@st.composite
+def gapless_grids(draw):
+    """Rows without gaps, so the first move inserts a column, at an edge when
+    the picked cell sits there."""
+    n_rows = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 3))
+    log = EventLog([Trace(f"t{i}", ["a"] * width) for i in range(n_rows)])
+    return Alignment(log, np.tile(np.arange(width), (n_rows, 1)))
+
+
+def _outcome(run):
+    try:
+        grid = run()
+    except Exception as exc:  # the oracle and perturb must fail alike
+        return type(exc), str(exc)
+    return grid.shape, grid.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    alignment=st.one_of(valid_alignments(), arbitrary_grids(), gapless_grids()),
+    moves=st.integers(0, 25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_perturb_matches_grid_rescanning_oracle(alignment, moves, seed):
+    expected = _outcome(lambda: perturb_oracle(alignment.grid, moves, seed))
+    assert _outcome(lambda: perturb(alignment, moves, seed).alignment.grid) == expected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: perturb(lower_bound_alignment(), 0, seed=-1),
+        lambda: perturb(lower_bound_alignment(), 3, seed=-1),
+        lambda: generate_log(load_bundled_model("claims"), 3, seed=-1),
+        lambda: consensus_reference(lower_bound_alignment().source, k=2, seed=-1),
+    ],
+    ids=["perturb-no-moves", "perturb", "generate_log", "consensus_reference"],
+)
+def test_negative_seed_is_named(call):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        call()
 
 
 def seq(*parts):
@@ -326,6 +398,10 @@ class TestStudyParameters:
     def test_rejects_tf_ratio_outside_the_unit_interval(self, study, small_log, tf_ratio):
         with pytest.raises(ValueError, match=rf"^tf_ratio must be in \(0, 1\], got {tf_ratio}$"):
             study(small_log, samples=10, max_moves=5, tf_ratio=tf_ratio)
+
+    def test_rejects_negative_seed(self, study, small_log):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            study(small_log, samples=10, max_moves=5, seed=-1)
 
 
 class TestTfRatioSweep:

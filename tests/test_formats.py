@@ -137,7 +137,7 @@ class TestAlignmentFormat:
         path.write_text("#tracealign-alignment v1\n#L=2\nc1\ta\tb\n#L=2\nc2\ta\t-\n")
         assert read_alignment(path).grid.tolist() == [[0, 1], [0, -1]]
 
-    @pytest.mark.parametrize("count", ["-1", "0", "x", ""])
+    @pytest.mark.parametrize("count", ["-1", "0", "x", "", "0_2", " +2 ", "\uff12"])
     def test_column_count_below_one_rejected(self, tmp_path, count):
         path = tmp_path / "bad.aln"
         path.write_text(f"#tracealign-alignment v1\n#L={count}\nc1\ta\n")
