@@ -441,23 +441,14 @@ def _perturbed_distances(d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return d * (upper + upper.T)
 
 
-def _shape_id(tree: GuideTree, variants: np.ndarray, shapes: dict[tuple[int, int], int]) -> int:
-    """Id of ``tree`` with each leaf read as its trace's variant.
+def _shape_key(tree: GuideTree, variants: np.ndarray) -> tuple[int, ...]:
+    """``tree`` in post-order, each leaf read as its trace's variant, each join as -1.
 
-    A leaf's id is ``~variant``; each join gets the next free id from
-    ``shapes``, keyed by its children's ids, so two trees get the same id
-    exactly when they have the same shape and the same variants in the
-    same leaf positions.
+    A post-order sequence of binary joins decodes to exactly one tree, so
+    two trees get the same key exactly when they have the same shape and
+    the same variants in the same leaf positions.
     """
-    pending: list[int] = []
-    for node in _postorder(tree):
-        if node.is_leaf:
-            pending.append(~int(variants[node.index]))
-        else:
-            right = pending.pop()
-            left = pending.pop()
-            pending.append(shapes.setdefault((left, right), len(shapes)))
-    return pending.pop()
+    return tuple(int(variants[node.index]) if node.is_leaf else -1 for node in _postorder(tree))
 
 
 def _check_seed(seed: int) -> None:
@@ -491,15 +482,14 @@ def consensus_reference(
     _check_seed(seed)
     d = distance_matrix(log, scheme)
     variants = _variant_ids(log)
-    shapes: dict[tuple[int, int], int] = {}
-    seen: set[int] = set()
+    seen: set[tuple[int, ...]] = set()
     rng = np.random.default_rng(seed)
     best: Alignment | None = None
     best_key: tuple[float, float] | None = None
     for i in range(k):
         matrix = d if i == 0 else _perturbed_distances(d, rng)
         tree = build_guide_tree(matrix)
-        shape = _shape_id(tree, variants, shapes)
+        shape = _shape_key(tree, variants)
         if shape in seen:
             continue
         seen.add(shape)

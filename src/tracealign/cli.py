@@ -8,8 +8,9 @@
     gen-log     sample traces from a process model spec
     correlate   metric-vs-error-count correlation study
 
-All randomized commands print the effective seed.  Exit status is 0 on
-success; failures print a single-line diagnostic on stderr.
+All randomized commands print the effective seed once they succeed.
+Exit status is 0 on success; failures print a single-line diagnostic on
+stderr.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 def _cmd_consensus(args: argparse.Namespace) -> int:
     log = formats.read_log(args.input)
-    print(f"seed: {args.seed}")
     alignment = consensus_reference(log, _scheme(args), k=args.k, seed=args.seed)
     formats.write_alignment(alignment, args.output)
+    print(f"seed: {args.seed}")
     return 0
 
 
@@ -193,23 +194,22 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
     alignment = formats.read_alignment(args.input)
-    print(f"seed: {args.seed}")
     result = perturb(alignment, args.moves, args.seed)
     formats.write_alignment(result.alignment, args.output)
+    print(f"seed: {args.seed}")
     return 0
 
 
 def _cmd_gen_log(args: argparse.Namespace) -> int:
     spec = formats.read_model(args.model)
-    print(f"seed: {args.seed}")
     log = generate_log(spec, args.traces, args.seed)
     formats.write_log(log, args.output)
+    print(f"seed: {args.seed}")
     return 0
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     log = formats.read_log(args.input)
-    print(f"seed: {args.seed}")
     report = correlation_experiment(
         log,
         _scheme(args),
@@ -219,16 +219,17 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         seed=args.seed,
         k=args.k,
     )
-    print(f"{'metric':<16} {'corr(n_e)':>10}")
-    for name, value in report.coefficients.items():
-        shown = "undefined" if value is None else f"{value:+.4f}"
-        print(f"{name:<16} {shown:>10}")
     if args.samples_out:
         formats.write_samples_csv(report, args.samples_out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(formats.correlation_to_dict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
+    print(f"seed: {args.seed}")
+    print(f"{'metric':<16} {'corr(n_e)':>10}")
+    for name, value in report.coefficients.items():
+        shown = "undefined" if value is None else f"{value:+.4f}"
+        print(f"{name:<16} {shown:>10}")
     return 0
 
 

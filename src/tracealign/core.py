@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -262,9 +261,9 @@ class Alignment:
         return self.source.traces[i].activities[ordinal]
 
     def row_labels(self, i: int) -> list[str]:
-        # Gaps are -1, which indexes the GAP appended after the activities.
+        # Every gap reads as -1, which indexes the GAP appended after the activities.
         labels = np.array((*self.source.traces[i].activities, GAP), dtype=object)
-        return labels[self.grid[i]].tolist()
+        return labels[np.maximum(self.grid[i], -1)].tolist()
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -303,48 +302,32 @@ class Alignment:
     def from_label_rows(cls, source: EventLog, rows: Sequence[Sequence[str]]) -> "Alignment":
         """Build from rows of labels/gaps, assigning ordinals by position.
 
-        Each row's non-gap labels must reproduce the corresponding source
-        trace exactly.
+        Every row is checked against its trace: its non-gap labels must
+        reproduce the corresponding source trace exactly.
         """
         if len(rows) != len(source):
             raise ValueError(f"{len(rows)} rows for {len(source)} traces")
-        widths = np.fromiter((len(row) for row in rows), dtype=np.int64, count=len(rows))
-        ends = np.cumsum(widths)
-        cells = np.fromiter(chain.from_iterable(rows), dtype=object, count=int(widths.sum()))
-        row_of = np.repeat(np.arange(len(rows)), widths)
-        labelled = np.flatnonzero(cells != GAP)
-        row = row_of[labelled]
-        n_labels = np.bincount(row, minlength=len(rows))
-        # Each label's ordinal in its row, and where the activity it must equal sits.
-        ordinal = np.arange(labelled.size) - np.repeat(np.cumsum(n_labels) - n_labels, n_labels)
-        lengths = source.lengths
-        activities = np.fromiter(
-            chain.from_iterable(t.activities for t in source.traces),
-            dtype=object,
-            count=source.total_activities,
-        )
-        beyond = ordinal >= lengths[row]
-        target = np.cumsum(lengths)[row] - lengths[row] + np.where(beyond, 0, ordinal)
-        wrong = labelled[beyond | (cells[labelled] != activities[target])]
-        failing = n_labels < lengths
-        failing[row_of[wrong]] = True
-        if failing.any():
-            i = int(np.argmax(failing))
-            trace = source.traces[i]
-            wrong = wrong[row_of[wrong] == i]
-            if wrong.size:
-                # The first label that differs from the trace, or the first extra one.
-                j = int(wrong[0] - (ends[i] - widths[i]))
+        grid = []
+        for i, (row, trace) in enumerate(zip(rows, source.traces)):
+            ordinal = 0
+            grid_row = []
+            for j, symbol in enumerate(row):
+                if symbol == GAP:
+                    grid_row.append(-1)
+                    continue
+                if ordinal >= len(trace) or trace.activities[ordinal] != symbol:
+                    raise ValueError(
+                        f"row {i} column {j}: label {symbol!r} does not match "
+                        f"trace {trace.case_id!r}"
+                    )
+                grid_row.append(ordinal)
+                ordinal += 1
+            if ordinal != len(trace):
                 raise ValueError(
-                    f"row {i} column {j}: label {rows[i][j]!r} does not match "
-                    f"trace {trace.case_id!r}"
+                    f"row {i}: {ordinal} activities, trace {trace.case_id!r} has {len(trace)}"
                 )
-            raise ValueError(
-                f"row {i}: {n_labels[i]} activities, trace {trace.case_id!r} has {len(trace)}"
-            )
-        grid = np.full(cells.size, -1, dtype=np.int64)
-        grid[labelled] = ordinal
-        return cls(source, [grid[end - width : end] for end, width in zip(ends, widths)])
+            grid.append(grid_row)
+        return cls(source, grid)
 
 
 def grid_codes(source: EventLog, traces: Sequence[int], grid: np.ndarray) -> np.ndarray:

@@ -413,6 +413,10 @@ def _labelled_samples(
         raise ValueError(f"samples must be >= 10, got {samples}")
     if max_moves < 0:
         raise ValueError(f"max_moves must be >= 0, got {max_moves}")
+    # Past int64, SeedSequence.spawn and np.linspace fail with tracebacks.
+    for name, value in (("samples", samples), ("max_moves", max_moves)):
+        if value > np.iinfo(np.int64).max:
+            raise ValueError(f"{name} must be <= 2**63 - 1, got {value}")
     _check_tf_ratio(tf_ratio)
     _check_seed(seed)
     reference = consensus_reference(log, scheme, k=k, seed=seed)

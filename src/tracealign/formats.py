@@ -17,6 +17,8 @@ import json
 from pathlib import Path
 from typing import IO
 
+import numpy as np
+
 from .core import GAP, Alignment, EventLog, ModelSpecError, Trace, TraceAlignError
 from .experiments import CorrelationReport, ProcessModelSpec
 from .metrics import METRIC_ORDER, MetricReport
@@ -140,7 +142,12 @@ def write_alignment(alignment: Alignment, path: str | Path) -> None:
 
 
 def read_alignment(path: str | Path) -> Alignment:
-    """Parse an alignment file; the source log is recovered from the rows."""
+    """Parse an alignment file; the source log is recovered from the rows.
+
+    The rows are not checked against their traces, as
+    :meth:`~tracealign.core.Alignment.from_label_rows` checks them: each
+    trace is built from its own row's labels, so it cannot differ.
+    """
     length: int | None = None
     case_ids: list[str] = []
     rows: list[list[str]] = []
@@ -189,11 +196,9 @@ def read_alignment(path: str | Path) -> Alignment:
             traces.append(Trace(case_id, labels))
         except ValueError as exc:
             raise FileFormatError(path, line_no, 1, str(exc)) from None
-    try:
-        log = EventLog(traces)
-        alignment = Alignment.from_label_rows(log, rows)
-    except ValueError as exc:
-        raise FileFormatError(path, 1, 1, str(exc)) from None
+    # Each trace is its row's labels, so the k-th label of a row is ordinal k.
+    occupied = np.array(rows, dtype=object) != GAP
+    alignment = Alignment(EventLog(traces), np.where(occupied, occupied.cumsum(axis=1) - 1, -1))
     if alignment.violations:
         raise FileFormatError(path, 1, 1, f"invalid alignment: {alignment.violations[0].message}")
     return alignment

@@ -518,25 +518,25 @@ class TestConsensusSkip:
         assert winner == 7 and skipped == [3, 4, 5]
         self.assert_matches_oracle(log, 8, 3)
 
-    def test_shape_ids_equal_iff_variant_shapes_equal(self):
+    def test_shape_keys_equal_iff_variant_shapes_equal(self):
         rng = np.random.default_rng(17)
         log = EventLog([trace(f"t{i}", labels) for i, labels in enumerate("AABBCA")])
         variants = aligner_module._variant_ids(log)
         assert variants.tolist() == [0, 0, 1, 1, 2, 0]
-        shapes: dict = {}
         seen: dict = {}
         for n in (2, 3, 6):
             for _ in range(200):
                 tree = random_tree(rng, n)
-                shape = aligner_module._shape_id(tree, variants, shapes)
-                assert seen.setdefault(repr(variant_shape(tree, log)), shape) == shape
+                key = aligner_module._shape_key(tree, variants)
+                assert seen.setdefault(repr(variant_shape(tree, log)), key) == key
         assert len(set(seen.values())) == len(seen)
 
-    def test_shape_id_walks_a_deep_chain(self):
+    def test_shape_key_walks_a_deep_chain(self):
         log, tree = chain_log_and_tree(3000)
-        shapes: dict = {}
-        root = aligner_module._shape_id(tree, aligner_module._variant_ids(log), shapes)
-        assert root == len(shapes) - 1 == 2998
+        key = aligner_module._shape_key(tree, aligner_module._variant_ids(log))
+        # Leaf 0, then each later leaf followed by the join that takes it.
+        assert len(key) == 5999
+        assert key == (0,) + (0, -1) * 2999
 
     def test_aligns_each_distinct_shape_once(self, monkeypatch):
         log = generate_log(load_bundled_model("claims"), 30, seed=3)

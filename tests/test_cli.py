@@ -332,6 +332,13 @@ class TestCorrelate:
         assert code == 1
         assert captured.err == "tracealign: error: max_moves must be >= 0, got -4\n"
 
+    @pytest.mark.parametrize("flag, name", [("--samples", "samples"), ("--max-moves", "max_moves")])
+    def test_count_past_int64_is_single_line(self, log_path, capsys, flag, name):
+        argv = ["correlate", str(log_path), "--samples", "10", flag, str(10**20)]
+        capsys.readouterr()
+        message = f"{name} must be <= 2**63 - 1, got {10**20}"
+        assert_single_line_error(main(argv), capsys.readouterr(), message)
+
     def test_emits_table_and_report(self, log_path, tmp_path, capsys):
         csv_path = tmp_path / "samples.csv"
         report_path = tmp_path / "report.json"
@@ -387,21 +394,27 @@ class TestDeterminismAcrossCommands:
 
 
 class TestNegativeSeed:
+    """A failing randomized command prints no seed line: stdout stays empty."""
+
+    NEGATIVE = "seed must be >= 0, got -1"
+
     @pytest.mark.parametrize(
-        "command, input_fixture, extra",
+        "command, input_fixture, extra, message",
         [
-            ("consensus", "log_path", ["-o", "out.aln"]),
-            ("perturb", "alignment_path", ["--moves", "3", "-o", "out.aln"]),
-            ("gen-log", "model_path", ["-n", "3", "-o", "out.log"]),
-            ("correlate", "log_path", ["--samples", "10", "-k", "1"]),
+            ("consensus", "log_path", ["--seed", "-1", "-o", "out.aln"], NEGATIVE),
+            ("perturb", "alignment_path", ["--seed", "-1", "--moves", "3", "-o", "out.aln"], NEGATIVE),
+            ("gen-log", "model_path", ["--seed", "-1", "-n", "3", "-o", "out.log"], NEGATIVE),
+            ("correlate", "log_path", ["--seed", "-1", "--samples", "10", "-k", "1"], NEGATIVE),
+            ("gen-log", "model_path", ["-n", "0", "-o", "out.log"], "n_traces must be >= 1, got 0"),
         ],
-        ids=["consensus", "perturb", "gen-log", "correlate"],
+        ids=["consensus", "perturb", "gen-log", "correlate", "gen-log-no-traces"],
     )
-    def test_is_single_line(self, request, tmp_path, capsys, command, input_fixture, extra):
+    def test_is_single_line(
+        self, request, tmp_path, capsys, command, input_fixture, extra, message
+    ):
         path = request.getfixturevalue(input_fixture)
+        capsys.readouterr()  # the fixture's own commands print their seeds
         extra = [str(tmp_path / arg) if arg.startswith("out.") else arg for arg in extra]
-        code = main([command, str(path), "--seed", "-1", *extra])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err == "tracealign: error: seed must be >= 0, got -1\n"
+        code = main([command, str(path), *extra])
+        assert_single_line_error(code, capsys.readouterr(), message)
         assert not list(tmp_path.glob("out.*"))

@@ -123,6 +123,14 @@ class TestAlignmentStructure:
             assert labels == expected
             assert [type(x) for x in labels] == [type(x) for x in expected]
 
+    @pytest.mark.parametrize("gap", [-1, -2, -(2**40)])
+    def test_row_labels_read_every_negative_value_as_a_gap(self, gap):
+        log = make_log(("t0", ["a", "b"]), ("t1", ["b", "x"]))
+        a = Alignment(log, [[0, 1, gap], [gap, 0, 1]])
+        for i in range(a.n_rows):
+            assert a.row_labels(i) == [a.label_at(i, j) for j in range(a.length)]
+        assert a.row_labels(1) == ["-", "b", "x"]
+
 
 class TestFromLabelRows:
     """The grid from label rows, and each error message byte for byte."""

@@ -394,6 +394,12 @@ class TestStudyParameters:
         with pytest.raises(ValueError, match=f"^max_moves must be >= 0, got {max_moves}$"):
             study(small_log, samples=10, max_moves=max_moves)
 
+    @pytest.mark.parametrize("name", ["samples", "max_moves"])
+    def test_rejects_counts_past_int64(self, study, small_log, name):
+        counts = {"samples": 10, "max_moves": 5, name: 2**63}
+        with pytest.raises(ValueError, match=rf"^{name} must be <= 2\*\*63 - 1, got {2**63}$"):
+            study(small_log, **counts)
+
     @pytest.mark.parametrize("tf_ratio", [1.5, 0.0, -0.2])
     def test_rejects_tf_ratio_outside_the_unit_interval(self, study, small_log, tf_ratio):
         with pytest.raises(ValueError, match=rf"^tf_ratio must be in \(0, 1\], got {tf_ratio}$"):

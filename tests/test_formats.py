@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_log
 from tracealign import (
+    Alignment,
     EventLog,
     ModelSpecError,
     Trace,
@@ -118,6 +119,14 @@ class TestAlignmentFormat:
             path = tmp_path / f"random_{i}.aln"
             write_alignment(alignment, path)
             assert read_alignment(path) == alignment
+
+    @pytest.mark.parametrize("gap", [-2, -(2**40)])
+    def test_every_negative_value_is_written_as_a_gap(self, tmp_path, gap):
+        log = EventLog([Trace("c1", ["a", "b"]), Trace("c2", ["b", "x"])])
+        path = tmp_path / "gaps.aln"
+        write_alignment(Alignment(log, [[0, 1, gap], [gap, 0, 1]]), path)
+        assert path.read_text().splitlines()[2:] == ["c1\ta\tb\t-", "c2\t-\tb\tx"]
+        assert read_alignment(path) == Alignment(log, [[0, 1, -1], [-1, 0, 1]])
 
     def test_cell_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.aln"

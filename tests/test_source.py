@@ -59,3 +59,29 @@ def test_every_private_helper_is_used():
         if uses[name] == _uses(node)[name]
     ]
     assert unused == [], f"private names never used outside their own definition: {unused}"
+
+
+def _imported_names(tree):
+    """Each name a module-level import binds, with its line; ``__future__`` binds none."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_every_import_is_used(path):
+    # ``__init__.py`` imports names to re-export them, so it is not checked.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in read]
+    assert unused == [], f"{path.name} never reads the imports {unused}"
