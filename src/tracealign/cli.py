@@ -45,6 +45,8 @@ def _check_paths(args: argparse.Namespace) -> None:
     for name in ("output", "report", "samples_out"):
         value = getattr(args, name, None)
         if value is not None:
+            if Path(value).is_dir():
+                raise TraceAlignError(f"output path is a directory: {value}")
             parent = Path(value).resolve().parent
             if not parent.is_dir():
                 raise TraceAlignError(f"output directory not found: {parent}")

@@ -30,11 +30,8 @@ from .core import (
 from .metrics import (
     METRIC_ORDER,
     _check_tf_ratio,
-    _eligible,
-    _frequent_census,
     _InstanceIndex,
     _metric_report,
-    _weighted_misalignment,
     count_heuristic_errors,
 )
 
@@ -420,7 +417,7 @@ def _labelled_samples(
     _check_tf_ratio(tf_ratio)
     _check_seed(seed)
     reference = consensus_reference(log, scheme, k=k, seed=seed)
-    index = _InstanceIndex.of_census(_frequent_census(log, tf_ratio), log, tf_ratio)
+    index = _InstanceIndex.of_log(log, tf_ratio)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
     moves = [int(round(v)) for v in np.linspace(0.0, max_moves, samples)]
     draws = (
@@ -504,8 +501,8 @@ def tf_ratio_sweep(
     The perturbed samples are those of :func:`correlation_experiment`,
     generated once and shared across ratios; one instance index at the
     lowest ratio scores every pattern eligible at any ratio in one
-    kernel call per sample, so only the eligibility cut and the
-    weighting change between ratios.  Every ratio must lie in (0, 1]; a
+    kernel call per sample, and its :meth:`~_InstanceIndex.oms` weights
+    those scores at each ratio.  Every ratio must lie in (0, 1]; a
     ratio whose eligible set is empty maps to ``None``.
     """
     if not ratios:
@@ -524,7 +521,7 @@ def tf_ratio_sweep(
     out: dict[float, float | None] = {}
     for ratio in ratios:
         try:
-            series = _weighted_misalignment(index, _eligible(index, ratio), scores.T)
+            series = index.oms(scores.T, ratio)
             out[ratio] = pearson(n_e_values, series)
         except (ThresholdTooHighError, UndefinedCorrelationError):
             out[ratio] = None

@@ -159,6 +159,8 @@ def read_alignment(path: str | Path) -> Alignment:
             if line.startswith(ALIGNMENT_MAGIC):
                 _check_version(path, line_no, line, ALIGNMENT_MAGIC)
                 continue
+            if line.startswith(LOG_MAGIC):
+                raise FileFormatError(path, line_no, 1, "this is a log file, not an alignment")
             if line.startswith("#L="):
                 try:  # ASCII digits only; int() also takes signs, spaces, "_", other digits
                     count = int(line[3:]) if line[3:].encode().isdigit() else 0

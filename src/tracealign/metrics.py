@@ -168,6 +168,9 @@ class PatternCensus:
         """
         if buckets < 1:
             raise ValueError(f"buckets must be >= 1, got {buckets}")
+        # The bound of samples and max_moves; past about 1.8e308, buckets * n / f_max overflows.
+        if buckets > np.iinfo(np.int64).max:
+            raise ValueError(f"buckets must be <= 2**63 - 1, got {buckets}")
         table: dict[tuple[int, int], int] = {}
         for m, rank_table in self._counted():
             # Buckets rise with f_p, so each distinct count is bucketed once.
@@ -229,29 +232,6 @@ def extract_patterns(log: EventLog, min_len: int = 2, max_len: int | None = None
     return PatternCensus(log.alphabet, tables, min_len, max_len, codes)
 
 
-def _frequent_census(log: EventLog, tf_ratio: float) -> PatternCensus:
-    """The default census, cut after the last length with a pattern
-    counted more than ``min(tf_ratio * f_max, f_max - 1)``.
-
-    Those patterns are the most frequent ones and every pattern
-    :func:`overall_misalignment_score` finds eligible at ``tf_ratio``.
-    Extending a window never raises its count, so the loop stops at the
-    first length without one.
-    """
-    if len(log) == 0:
-        raise ValueError("cannot extract patterns from an empty log")
-    codes = np.concatenate(log.trace_codes)
-    levels = _rank_tables(codes, log.lengths, len(log.alphabet), log.max_trace_length)
-    tables = list(islice(levels, 1))
-    if not tables:
-        raise ValueError("pattern census is empty")
-    _check_tf_ratio(tf_ratio)
-    f_max = int(tables[0].counts.max())
-    cut = min(tf_ratio * f_max, f_max - 1)
-    tables.extend(takewhile(lambda table: table.counts.max() > cut, levels))
-    return PatternCensus(log.alphabet, tables, 2, len(tables) + 1, codes)
-
-
 class _InstanceIndex:
     """Patterns of one log with their instances, for batched misalignment scoring.
 
@@ -261,7 +241,8 @@ class _InstanceIndex:
     ``starts[g, i]`` is its start ordinal in trace i, -1 where there is
     none.  ``unmatched[p]`` sums |c_i - c_j| over trace pairs for the
     instance counts c of pattern p.  Everything here depends only on the
-    log, so one index serves every alignment of it.
+    log, so one index serves every alignment of it, and :meth:`oms` reads
+    the OMS at its own ``tf_ratio`` or any higher one.
     """
 
     def __init__(self, log: EventLog, entries: Sequence[tuple[Pattern, int]], f_max: int) -> None:
@@ -298,6 +279,27 @@ class _InstanceIndex:
         self.pat_len = np.array([len(p) for p in self.patterns], dtype=np.int64)
 
     @classmethod
+    def of_log(cls, log: EventLog, tf_ratio: float) -> "_InstanceIndex":
+        """:meth:`of_census` of the default census of ``log``, counting only the lengths it reads.
+
+        Extending a window never raises its count, so counting stops at
+        the first length without a pattern above the cut.
+        """
+        if len(log) == 0:
+            raise ValueError("cannot extract patterns from an empty log")
+        codes = np.concatenate(log.trace_codes)
+        levels = _rank_tables(codes, log.lengths, len(log.alphabet), log.max_trace_length)
+        tables = list(islice(levels, 1))
+        if not tables:
+            raise ValueError("pattern census is empty")
+        _check_tf_ratio(tf_ratio)
+        f_max = int(tables[0].counts.max())
+        cut = min(tf_ratio * f_max, f_max - 1)
+        tables.extend(takewhile(lambda table: table.counts.max() > cut, levels))
+        census = PatternCensus(log.alphabet, tables, 2, len(tables) + 1, codes)
+        return cls(log, census.eligible(cut), f_max)
+
+    @classmethod
     def of_census(cls, census: PatternCensus, log: EventLog, tf_ratio: float) -> "_InstanceIndex":
         """The patterns of ``census`` counted more than ``min(tf_ratio * f_max, f_max - 1)``,
         in census order, found in ``log``.
@@ -323,6 +325,24 @@ class _InstanceIndex:
             alignment.codes,
         )
         return (matched + self.unmatched).astype(np.float64).tolist()
+
+    def oms(self, scores: Sequence[float | np.ndarray], tf_ratio: float) -> float | np.ndarray:
+        """:func:`overall_misalignment_score` from every indexed pattern's ``scores``.
+
+        ``scores[p]`` is pattern p's misalignment: a float, or an array
+        holding one per alignment, which yields one OMS per alignment with
+        each element computed by the same float operations.
+        """
+        threshold = tf_ratio * self.f_max
+        chosen = [p for p, f_p in enumerate(self.counts) if f_p > threshold]
+        if not chosen:
+            raise ThresholdTooHighError(
+                f"no pattern occurs more than {threshold:g} times; lower tf_ratio below {tf_ratio}"
+            )
+        total = 0.0
+        for p in chosen:
+            total += scores[p] * (self.counts[p] / self.f_max)
+        return total / len(chosen)
 
 
 def ref_free_sps(alignment: Alignment, scheme: ScoringScheme = DEFAULT_SCHEME) -> float:
@@ -413,39 +433,12 @@ def overall_misalignment_score(
     its frequency relative to the most frequent pattern.
     """
     index = _InstanceIndex.of_census(census, alignment.source, tf_ratio)
-    chosen = _eligible(index, tf_ratio)
-    return _weighted_misalignment(index, chosen, index.scores(alignment))
+    return index.oms(index.scores(alignment), tf_ratio)
 
 
 def _check_tf_ratio(tf_ratio: float) -> None:
     if not 0.0 < tf_ratio <= 1.0:
         raise ValueError(f"tf_ratio must be in (0, 1], got {tf_ratio}")
-
-
-def _eligible(index: _InstanceIndex, tf_ratio: float) -> list[int]:
-    """Positions in ``index`` of the patterns counted more than ``tf_ratio * f_max``."""
-    threshold = tf_ratio * index.f_max
-    chosen = [p for p, f_p in enumerate(index.counts) if f_p > threshold]
-    if not chosen:
-        raise ThresholdTooHighError(
-            f"no pattern occurs more than {threshold:g} times; lower tf_ratio below {tf_ratio}"
-        )
-    return chosen
-
-
-def _weighted_misalignment(
-    index: _InstanceIndex, chosen: Sequence[int], scores: Sequence[float | np.ndarray]
-) -> float | np.ndarray:
-    """The weighting of :func:`overall_misalignment_score` over ``chosen`` patterns.
-
-    ``scores[p]`` is pattern p's misalignment: a float, or an array
-    holding one per alignment, which yields one OMS per alignment with
-    each element computed by the same float operations.
-    """
-    total = 0.0
-    for p in chosen:
-        total += scores[p] * (index.counts[p] / index.f_max)
-    return total / len(chosen)
 
 
 def most_frequent_pattern(census: PatternCensus) -> Pattern:
@@ -603,13 +596,14 @@ def evaluate_alignment(
 
     Reference-based metrics are filled only when a reference sharing the
     source log is supplied.  The pattern census defaults to the source
-    log's full census, of which only the patterns OMS and ``ms_top`` read
-    are counted; a census passed in gives the patterns and counts instead.
+    log's, counted by :meth:`_InstanceIndex.of_log` only as far as OMS and
+    ``ms_top`` read; a census passed in gives the patterns and counts instead.
     """
     require_valid(alignment)
     if census is None:
-        census = _frequent_census(alignment.source, tf_ratio)
-    index = _InstanceIndex.of_census(census, alignment.source, tf_ratio)
+        index = _InstanceIndex.of_log(alignment.source, tf_ratio)
+    else:
+        index = _InstanceIndex.of_census(census, alignment.source, tf_ratio)
     return _metric_report(alignment, reference, scheme, tf_ratio, majority, index, undefined=())
 
 
@@ -632,7 +626,7 @@ def _metric_report(
     # The first pattern at f_max in census order is most_frequent_pattern's.
     top = index.counts.index(index.f_max)
     try:
-        oms = _weighted_misalignment(index, _eligible(index, tf_ratio), scores)
+        oms = index.oms(scores, tf_ratio)
     except undefined:
         oms = None
     report = MetricReport(

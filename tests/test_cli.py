@@ -171,6 +171,11 @@ class TestEvaluate:
         code = main(["evaluate", str(aln)])
         assert_single_line_error(code, capsys.readouterr(), f"{aln}:{message}")
 
+    def test_log_file_is_named_as_such(self, log_path, capsys):
+        code = main(["evaluate", str(log_path)])
+        message = f"{log_path}:1:1: this is a log file, not an alignment"
+        assert_single_line_error(code, capsys.readouterr(), message)
+
     def test_one_activity_log_has_empty_census(self, one_activity_log_path, tmp_path, capsys):
         aln = tmp_path / "single.aln"
         assert main(["align", str(one_activity_log_path), "-o", str(aln)]) == 0
@@ -192,14 +197,19 @@ class TestPatterns:
         assert "f_max=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
-    @pytest.mark.parametrize("buckets", ["0", "-1"])
-    def test_bucket_count_below_one_is_single_line(self, log_path, capsys, fmt, buckets):
+    @pytest.mark.parametrize(
+        "buckets, message",
+        [
+            ("0", "buckets must be >= 1, got 0"),
+            ("-1", "buckets must be >= 1, got -1"),
+            (str(2**63), f"buckets must be <= 2**63 - 1, got {2**63}"),
+            (str(10**400), f"buckets must be <= 2**63 - 1, got {10**400}"),
+        ],
+        ids=["0", "-1", "2**63", "10**400"],
+    )
+    def test_bucket_count_below_one_is_single_line(self, log_path, capsys, fmt, buckets, message):
         code = main(["patterns", str(log_path), "-f", fmt, "--buckets", buckets])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("tracealign: error: buckets must be >= 1")
-        assert captured.err.count("\n") == 1
+        assert_single_line_error(code, capsys.readouterr(), message)
 
     def test_one_activity_log_gives_empty_table(self, one_activity_log_path, capsys):
         assert main(["patterns", str(one_activity_log_path)]) == 0
@@ -373,6 +383,37 @@ class TestCorrelate:
             ) == 0
             outputs.append((csv_path.read_bytes(), report_path.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestOutputPathIsDirectory:
+    """An output path naming a directory is refused before any work is done."""
+
+    @pytest.mark.parametrize(
+        "command, input_fixture, extra",
+        [
+            ("align", "log_path", ["-o", "DIR"]),
+            ("consensus", "log_path", ["-k", "1", "-o", "DIR"]),
+            ("evaluate", "alignment_path", ["-o", "DIR"]),
+            ("patterns", "log_path", ["-o", "DIR"]),
+            ("perturb", "alignment_path", ["--moves", "1", "-o", "DIR"]),
+            ("gen-log", "model_path", ["-n", "3", "-o", "DIR"]),
+            ("correlate", "log_path", ["--samples", "10", "-k", "1", "-o", "DIR", "--report", "FILE"]),
+            ("correlate", "log_path", ["--samples", "10", "-k", "1", "-o", "FILE", "--report", "DIR"]),
+        ],
+        ids=[
+            "align", "consensus", "evaluate", "patterns", "perturb", "gen-log",
+            "correlate-samples", "correlate-report",
+        ],
+    )
+    def test_is_single_line(self, request, tmp_path, capsys, command, input_fixture, extra):
+        path = request.getfixturevalue(input_fixture)
+        capsys.readouterr()  # the fixture's own commands print their seeds
+        target, other = tmp_path / "out_dir", tmp_path / "other.out"
+        target.mkdir()
+        extra = [{"DIR": str(target), "FILE": str(other)}.get(arg, arg) for arg in extra]
+        code = main([command, str(path), *extra])
+        assert_single_line_error(code, capsys.readouterr(), f"output path is a directory: {target}")
+        assert list(target.iterdir()) == [] and not other.exists()
 
 
 class TestDeterminismAcrossCommands:

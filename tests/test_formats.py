@@ -160,6 +160,17 @@ class TestAlignmentFormat:
         with pytest.raises(FileFormatError, match="#L="):
             read_alignment(path)
 
+    def test_log_file_is_named_at_its_version_line(self, tmp_path, sample_log):
+        path = tmp_path / "sample.log"
+        write_log(sample_log, path)
+        with pytest.raises(FileFormatError) as info:
+            read_alignment(path)
+        assert str(info.value) == f"{path}:1:1: this is a log file, not an alignment"
+        path.write_text("# exported\n#tracealign-log v1\nc1\ta,b\n")
+        with pytest.raises(FileFormatError) as info:
+            read_alignment(path)
+        assert str(info.value) == f"{path}:2:1: this is a log file, not an alignment"
+
     def test_all_gap_row_rejected(self, tmp_path):
         path = tmp_path / "bad.aln"
         path.write_text("#tracealign-alignment v1\n#L=2\nc1\ta\tb\nc2\t-\t-\n")

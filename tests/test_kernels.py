@@ -25,7 +25,7 @@ from tracealign import (
     progressive_align,
 )
 from tracealign.experiments import perturb
-from tracealign.metrics import _frequent_census, _InstanceIndex, misalignment_score
+from tracealign.metrics import _InstanceIndex, misalignment_score
 
 SCHEMES = [(1.0, -1.0, 0.0), (2.0, -0.5, -0.25), (1.0, -1.0, -1.0)]
 # Schemes whose sums round, so a boundary built as a running total differs
@@ -305,7 +305,7 @@ class TestMsPattern:
             alignment = perturb(progressive_align(log), moves, seed=case).alignment
             census = extract_patterns(log)
             # A ratio this small keeps the whole census above the cut.
-            index = _InstanceIndex.of_census(_frequent_census(log, 1e-9), log, 1e-9)
+            index = _InstanceIndex.of_log(log, 1e-9)
             assert list(zip(index.patterns, index.counts)) == list(census.items())
             expected = [misalignment_oracle(alignment, p) for p in index.patterns]
             assert index.scores(alignment) == expected

@@ -42,7 +42,8 @@ from tracealign import (
     ref_based_sps,
     ref_free_sps,
 )
-from tracealign.metrics import _frequent_census, _InstanceIndex
+from tracealign import metrics
+from tracealign.metrics import _InstanceIndex
 
 
 def make_log(*rows) -> EventLog:
@@ -265,6 +266,26 @@ class TestExtractPatterns:
                 (p for p in order if expected[p] == f_max), key=lambda p: (len(p), p)
             )
 
+    @pytest.mark.parametrize(
+        "buckets, message",
+        [
+            (0, "buckets must be >= 1, got 0"),
+            (2**63, f"buckets must be <= 2**63 - 1, got {2**63}"),
+            (10**400, f"buckets must be <= 2**63 - 1, got {10**400}"),
+        ],
+        ids=["0", "2**63", "10**400"],
+    )
+    def test_bucket_count_out_of_range_is_refused(self, buckets, message):
+        census = extract_patterns(make_log(("t0", "abab"), ("t1", "ab")))
+        with pytest.raises(ValueError) as info:
+            census.length_frequency_table(buckets)
+        assert str(info.value) == message
+        # The largest count accepted keeps the float bucketing.
+        top = 2**63 - 1
+        assert census.length_frequency_table(top) == dict(
+            Counter((len(p), min(int(top * n / 3), top - 1)) for p, n in census.items())
+        )
+
     def test_matches_census_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(60):
@@ -377,10 +398,6 @@ class TestMisalignmentScore:
             misalignment_score(a, ("a",))
 
 
-def frequent_index(log, tf_ratio):
-    return _InstanceIndex.of_census(_frequent_census(log, tf_ratio), log, tf_ratio)
-
-
 small_logs = st.integers(1, 3).flatmap(
     lambda n_types: st.lists(
         st.text("abc"[:n_types], min_size=1, max_size=10), min_size=1, max_size=6
@@ -396,9 +413,9 @@ class TestInstanceIndex:
         census = extract_patterns(log)
         if not census:
             with pytest.raises(ValueError, match="census is empty"):
-                _frequent_census(log, tf_ratio)
+                _InstanceIndex.of_log(log, tf_ratio)
             return
-        index = frequent_index(log, tf_ratio)
+        index = _InstanceIndex.of_log(log, tf_ratio)
         cut = min(tf_ratio * census.f_max, census.f_max - 1)
         assert list(zip(index.patterns, index.counts)) == census.eligible(cut)
         assert index.f_max == census.f_max
@@ -416,7 +433,7 @@ class TestInstanceIndex:
         census = extract_patterns(log)
         if not census:
             return
-        index = frequent_index(log, tf_ratio)
+        index = _InstanceIndex.of_log(log, tf_ratio)
         full = _InstanceIndex.of_census(census, log, tf_ratio)
         assert index.patterns == full.patterns and index.counts == full.counts
         assert index.f_max == full.f_max
@@ -429,18 +446,27 @@ class TestInstanceIndex:
         # runs out of lengths with windows still above the cut.
         log = make_log(("t0", "abcab"), ("t1", "abcab"), ("t2", "abcab"), ("t3", "ca"))
         census = extract_patterns(log)
-        index = frequent_index(log, 0.4)
+        index = _InstanceIndex.of_log(log, 0.4)
         assert max(len(p) for p in index.patterns) == log.max_trace_length == 5
         assert list(zip(index.patterns, index.counts)) == census.eligible(0.4 * census.f_max)
         a = perturb(progressive_align(log), 6, seed=3).alignment
         assert index.scores(a) == [misalignment_oracle(a, p) for p in index.patterns]
         assert evaluate_alignment(a) == evaluate_alignment(a, census=census)
 
-    def test_stops_at_the_first_length_without_an_eligible_window(self):
-        # Only (a, b) clears the cut, so the census ends at length 2.
+    def test_stops_at_the_first_length_without_an_eligible_window(self, monkeypatch):
+        # Only (a, b) clears the cut: length 2 is kept and length 3 is read
+        # and rejected, so lengths 4 and 5 are never counted.
+        rank_tables, drawn = metrics._rank_tables, []
+
+        def counted(*args):
+            for table in rank_tables(*args):
+                drawn.append(table)
+                yield table
+
+        monkeypatch.setattr(metrics, "_rank_tables", counted)
         log = make_log(("t0", "abxab"), ("t1", "abyab"), ("t2", "ab"))
-        assert _frequent_census(log, 0.4).max_len == 2
-        index = frequent_index(log, 0.4)
+        index = _InstanceIndex.of_log(log, 0.4)
+        assert len(drawn) == 2
         assert index.patterns == [Pattern("ab")] and index.counts == [5]
         assert index.unmatched.tolist() == [2]
 

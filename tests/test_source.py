@@ -1,4 +1,5 @@
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +18,16 @@ def test_no_runtime_check_depends_on_assert(path):
 
 def test_sources_are_found():
     assert len(SOURCES) >= 7
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    # It prints the OMS, the OIS and the complexity result on one line.
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.split(" ", 2)[2].startswith("ComplexityResult(value=")
 
 
 def _private_definitions(tree):
