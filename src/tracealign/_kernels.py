@@ -2,16 +2,19 @@
 
 ``profile_fill`` is the one pointer-table DP: global alignment over a
 matrix of pair scores and per-position gap costs.  Pairwise alignment
-and every profile merge run it, and the merges of one guide-tree level
-run it together: merge m is the last axis of a zero-padded (A, B, M)
-slab, so one anti-diagonal of every merge is one strided slice.  It
-fills the whole slab, keeps a block of whole diagonals in one buffer,
-derives the pointer codes of the block at once and returns the slab's
-last cell, the score of every merge as large as the slab.  All-pairs
-scoring (``nw_scores``) runs its recurrence for constant scores, keeping
-only the scores, with the same float64 results, fill order and
-tie-breaking; its pairs are the columns of each array, so a block of
-pairs sweeps one contiguous slab per diagonal.  Both sweeps let float
+and every profile merge run it, and a group of merges of one guide-tree
+level runs it together: merge m is the last axis of a zero-padded
+(A, B, M) slab, a lone merge's too (M = 1), so one anti-diagonal of
+every merge is one strided ``(cells, M)`` slice.  It fills the whole
+slab, keeps a block of whole diagonals in one buffer, derives the
+pointer codes of the block at once and returns the slab's last cell,
+the score of every merge as large as the slab.  All-pairs scoring
+(``nw_scores``) runs its recurrence for constant scores, keeping only
+the scores, with the same float64 results, fill order and tie-breaking;
+its pairs are the columns of each array, so a block of pairs sweeps one
+contiguous slab per diagonal.  ``runs`` is the one cut of both: it
+sorts items by their sides and cuts them under a cell budget, pairs
+into blocks and a level's merges into groups.  Both sweeps let float
 overflow run to +-inf, which is exact, without a warning.  Misalignment
 scoring (``ms_pattern``) scores every pattern of an instance index in
 one blocked pass per alignment, summing each pattern in int64; it and
@@ -36,7 +39,9 @@ DIAG, UP, LEFT = 0, 1, 2
 # All-pairs global alignment scores over integer-coded sequences.
 
 # Cell budget of one block of the all-pairs sweep, counted as
-# pairs x (A + B + 1) for the block's longest sides A and B.  It bounds
+# pairs x (A + B + 1) for the block's longest sides A and B, which
+# ``runs`` cuts the pairs under; a merge group's slab gets
+# ``aligner._LEVEL_BLOCKS`` times as many cells.  It bounds
 # both the rolling diagonals and the gathered codes, so a block's
 # temporaries stay well under a megabyte.  ``profile_fill`` buffers that
 # many cells of candidates before it writes their pointer codes,
@@ -53,8 +58,8 @@ def nw_scores(padded, lengths, match, mismatch, gap):
     Every pair (i < j) runs the recurrence of ``profile_fill`` as
     ``pairwise_align`` sets it up (constant gap costs, boundary
     ``gap * k``), with trace i as the first side, but many pairs share
-    one numpy sweep over the anti-diagonals: pairs are sorted by
-    (la, lb), cut into blocks under ``_BLOCK_CELLS`` and each block
+    one numpy sweep over the anti-diagonals: ``runs`` cuts the pairs,
+    sorted by (la, lb), into blocks under ``_BLOCK_CELLS`` and each block
     keeps three rolling ``(A+1, pairs)`` diagonals with
     ``H_d[i, p] = h_p[i, d - i]``.  A cell adds the constant gap once,
     to the larger of its UP and LEFT predecessors: rounding is monotone,
@@ -66,24 +71,32 @@ def nw_scores(padded, lengths, match, mismatch, gap):
     n = lengths.size
     out = np.zeros((n, n), dtype=np.float64)
     first, second = np.triu_indices(n, 1)
-    order = np.lexsort((lengths[second], lengths[first]))
-    first, second = first[order], second[order]
-    la_all, lb_all = lengths[first], lengths[second]
-    start = 0
-    while start < first.size:
-        window = slice(start, start + _BLOCK_CELLS)
-        cost = np.arange(1, la_all[window].size + 1) * (
-            la_all[window] + np.maximum.accumulate(lb_all[window]) + 1
-        )
-        stop = start + max(1, int(np.count_nonzero(cost <= _BLOCK_CELLS)))
-        block = slice(start, stop)
-        scores = _nw_block(
-            padded, first[block], second[block], la_all[block], lb_all[block], match, mismatch, gap
-        )
-        out[first[block], second[block]] = scores
-        out[second[block], first[block]] = scores
-        start = stop
+    la, lb = lengths[first], lengths[second]
+    for run in runs(la, lb, lambda k, a, b: k * (a + b + 1), _BLOCK_CELLS):
+        i, j = first[run], second[run]
+        scores = _nw_block(padded, i, j, la[run], lb[run], match, mismatch, gap)
+        out[i, j] = scores
+        out[j, i] = scores
     return out
+
+
+def runs(la, lb, cells, cap):
+    """Index arrays of items with sides ``la`` and ``lb``, cut under ``cap``.
+
+    Sorted by (la, lb), each run is the longest prefix of the items left,
+    one item at least, whose ``cells(k, a, b)`` stays within ``cap``: k
+    items, a the last one's ``la``, b the running max of ``lb``.  ``cells``
+    grows with k and is at least k, so ``cap`` items hold every run.
+    """
+    order = np.lexsort((lb, la))
+    la, lb = la[order], lb[order]
+    start = 0
+    while start < order.size:
+        a, b = la[start : start + cap], lb[start : start + cap]
+        cost = cells(np.arange(1, a.size + 1), a, np.maximum.accumulate(b))
+        stop = start + max(1, int(np.count_nonzero(cost <= cap)))
+        yield order[start:stop]
+        start = stop
 
 
 def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
@@ -144,8 +157,8 @@ def profile_fill(s, ga, gb, col0, row0):
     merge fills the whole (A, B) slab, zero-padded past its own sides.  A
     padding cell never feeds a real one, whose candidates only look up and
     left, and zeros keep it finite wherever the real cells are, so it adds
-    no float warning.  One merge (``M = 1``) needs no padding, and its
-    arrays drop the merge axis inside the sweep.
+    no float warning.  A lone merge is the slab with M = 1: every array of
+    the sweep is ``(cells, M)``, one shape for any M.
 
     The sweep runs over anti-diagonals; one diagonal of every merge is
     one ``(cells, M)`` basic strided slice of ``s``.  Diagonal d keeps
@@ -166,14 +179,9 @@ def profile_fill(s, ga, gb, col0, row0):
     are the slab's.
     """
     A, B, M = s.shape
-
-    def by_cell(x):
-        """``x`` as (cells, M) rows, or as (cells,) for one merge."""
-        return x.reshape(-1, M) if M > 1 else x.reshape(-1)
-
     # The pair score of (i - 1, j - 1) is row (i - 1) * B + j - 1 of ``s``.
-    s_cells, ga, col0, row0 = by_cell(s), by_cell(ga), by_cell(col0), by_cell(row0)
-    gb_rev = np.ascontiguousarray(by_cell(gb)[::-1])
+    s_cells = s.reshape(-1, M)
+    gb_rev = np.ascontiguousarray(gb[::-1])
     # A diagonal of one cell, all there is when B == 1, takes any step.
     step = max(B - 1, 1)
     diagonals = np.arange(A + B + 1)
@@ -186,12 +194,11 @@ def profile_fill(s, ga, gb, col0, row0):
     # The rows of h[0, d] for d <= B and of h[d, 0] for d <= A.
     top, bottom = seg[: B + 1], seg[1 : A + 2] - 1
     ptr = np.empty((int(seg[-1]), M), dtype=np.uint8)
-    ptr_cells = by_cell(ptr)
     # Scores, DIAG and UP candidates: two kept diagonals, then a block.
     # A diagonal has at most min(A, B) + 2 rows, so three always fit, and
     # no buffer outgrows the whole sweep.
     size = min(max(_BLOCK_CELLS // M, 3 * (min(A, B) + 2)), int(seg[-1]))
-    h, diag_buf, up_buf = (by_cell(np.zeros((size, M))) for _ in range(3))
+    h, diag_buf, up_buf = (np.zeros((size, M)) for _ in range(3))
     seg_at, lo_at, hi_at = seg.tolist(), lo.tolist(), hi.tolist()
     first = shift = 0  # the block's first diagonal; the ``seg`` row of h[0]
     with np.errstate(over="ignore"):
@@ -219,14 +226,14 @@ def profile_fill(s, ga, gb, col0, row0):
                 np.maximum(up, best, out=best)
                 np.maximum(diag, best, out=best)
             rows = slice(seg_at[first] - shift, seg_at[last] - shift)
-            codes = ptr_cells[seg_at[first] : seg_at[last]]
+            codes = ptr[seg_at[first] : seg_at[last]]
             _write_codes(codes, diag_buf[rows], up_buf[rows], h[rows])
             # The next block reads the last two diagonals of this one.
             keep = seg_at[max(last - 2, 0)]
             h[: seg_at[last] - keep] = h[keep - shift : seg_at[last] - shift].copy()
             first, shift = last, keep
     # The last block kept diagonal A + B in h; h[A, B] is its row base + A, less shift.
-    corner = h.reshape(-1, M)[base[A + B] - shift + A].copy()
+    corner = h[base[A + B] - shift + A].copy()
     return ptr, base, corner
 
 

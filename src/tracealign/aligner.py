@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import Alignment, EventLog, Trace, grid_codes
+from .core import Alignment, EventLog, Trace, _check_count, grid_codes
 
 __all__ = [
     "ScoringScheme",
@@ -315,11 +315,14 @@ def _merge_profiles(pairs: list, scheme: ScoringScheme) -> list[Profile]:
     """Merge each ``(p1, p2)`` of ``pairs`` as ``align_profiles`` does, all
     in one ``profile_fill`` sweep.
 
-    Merge m is the last axis of the slab: its pair scores, gap costs and
-    first column and row (running sums, which can differ from gap * k)
-    fill the corner of its own sides, and zeros pad the rest.  A lone
-    merge runs on its pair scores as they are.  Each pair is set to None
-    once its merge is spread, so its profiles can be freed.
+    Merge m is the last axis of the slab (``progressive_align`` takes its
+    groups from ``_kernels.runs``): its pair scores, gap costs and first
+    column and row (running sums, which can differ from gap * k) fill the
+    corner of its own sides, and zeros pad the rest.  A lone merge is the
+    slab with M = 1, on its pair scores as they are.  Each side's rows are
+    one gather of the traceback's takes from its grid with a gap column
+    appended, which a take of -1 reads.  Each pair is set to None once its
+    merge is spread, so its profiles can be freed.
     """
     la = np.array([p1.length for p1, _ in pairs], dtype=np.int64)
     lb = np.array([p2.length for _, p2 in pairs], dtype=np.int64)
@@ -339,18 +342,13 @@ def _merge_profiles(pairs: list, scheme: ScoringScheme) -> list[Profile]:
             np.cumsum(gb[: lb[m], m], out=row0[1 : lb[m] + 1, m])
     ptr, base, _ = _kernels.profile_fill(s, ga, gb, col0, row0)
     del s
-
-    def spread(grid: np.ndarray, take: np.ndarray) -> np.ndarray:
-        safe = np.clip(take, 0, None)
-        rows = grid[:, safe]
-        return np.where(take[None, :] >= 0, rows, -1)
-
     merged = []
     for m in range(M):
         p1, p2 = pairs[m]
         pairs[m] = None
-        take1, take2 = _kernels.traceback(ptr[:, m], base, la[m], lb[m])
-        grid = np.vstack([spread(p1.grid, take1), spread(p2.grid, take2)])
+        takes = _kernels.traceback(ptr[:, m], base, la[m], lb[m])
+        gapped = [np.concatenate([p.grid, np.full((len(p.members), 1), -1)], 1) for p in (p1, p2)]
+        grid = np.vstack([side[:, take] for side, take in zip(gapped, takes)])
         merged.append(Profile(p1.source, p1.members + p2.members, grid))
     return merged
 
@@ -370,12 +368,12 @@ def progressive_align(
 
     The fold goes by height, a merge's height being one more than its
     taller child's: once the lower heights are done, every merge of the
-    next one has both children.  Each height's merges are sorted by their
-    sides and cut into groups whose zero-padded slab holds at most
-    ``_LEVEL_BLOCKS`` times ``_kernels._BLOCK_CELLS`` cells, and each
-    group is one ``profile_fill`` sweep.  A group of one merge runs as
-    ``align_profiles``, on its own pair scores.  Every merge is the one
-    a post-order fold makes, so the alignment is too.
+    next one has both children.  ``_kernels.runs`` cuts each height's
+    merges, sorted by their sides, into groups whose zero-padded slab
+    holds at most ``_LEVEL_BLOCKS`` times ``_kernels._BLOCK_CELLS``
+    cells, and each group is one ``profile_fill`` sweep.  A group of one
+    merge runs as ``align_profiles``, on its own pair scores.  Every
+    merge is the one a post-order fold makes, so the alignment is too.
     """
     if len(log) < 2:
         raise ValueError(f"need at least 2 traces, got {len(log)}")
@@ -412,16 +410,9 @@ def progressive_align(
     for level in levels:
         la = np.array([length(n.left) for n in level], dtype=np.int64)
         lb = np.array([length(n.right) for n in level], dtype=np.int64)
-        # Cut like the pairs of ``nw_scores``: a group's slab holds merges x
-        # longest first side x longest second side cells.
-        order = np.lexsort((lb, la))
-        la, lb = la[order], lb[order]
-        start = 0
-        while start < order.size:
-            merges = np.arange(1, order.size - start + 1)
-            cells = merges * la[start:] * np.maximum.accumulate(lb[start:])
-            stop = start + max(1, int(np.count_nonzero(cells <= cap)))
-            group = [level[k] for k in order[start:stop].tolist()]
+        # A group's slab holds merges x longest first side x longest second side cells.
+        for run in _kernels.runs(la, lb, lambda k, a, b: k * a * b, cap):
+            group = [level[k] for k in run.tolist()]
             pairs = [(take(n.left), take(n.right)) for n in group]
             if len(pairs) == 1:
                 merged = [align_profiles(*pairs.pop(), scheme)]
@@ -429,7 +420,6 @@ def progressive_align(
                 merged = _merge_profiles(pairs, scheme)
             for node, profile in zip(group, merged):
                 profiles[id(node)] = profile
-            start = stop
     return _profile_to_alignment(profiles.pop(id(tree)))
 
 
@@ -477,8 +467,7 @@ def consensus_reference(
     """
     from .metrics import alignment_complexity, ref_free_sps
 
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_count("k", k, 1)
     _check_seed(seed)
     d = distance_matrix(log, scheme)
     variants = _variant_ids(log)

@@ -76,6 +76,14 @@ class Activity(str):
         return super().__new__(cls, text)
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    """Refuse a count below ``least`` or past int64, where numpy's draws and sizes end."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if value > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must be <= 2**63 - 1, got {value}")
+
+
 def _check_case_id(case_id: str) -> str:
     if not case_id:
         raise ValueError("case id must be non-empty")

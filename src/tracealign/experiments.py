@@ -26,6 +26,7 @@ from .core import (
     ThresholdTooHighError,
     Trace,
     UndefinedCorrelationError,
+    _check_count,
 )
 from .metrics import (
     METRIC_ORDER,
@@ -83,8 +84,7 @@ def perturb(reference: Alignment, moves: int, seed: int = 0) -> PerturbedAlignme
     kept until a move lands on it, and emptied or new cells hold -1.
     """
     _check_seed(seed)
-    if moves < 0:
-        raise ValueError(f"moves must be >= 0, got {moves}")
+    _check_count("moves", moves, 0)
     grid = np.array(reference.grid)
     if moves == 0:
         return PerturbedAlignment(Alignment(reference.source, grid), 0, seed)
@@ -321,8 +321,7 @@ def _interleave(parts: list[list[str]], rng: np.random.Generator) -> list[str]:
 
 def generate_log(spec: ProcessModelSpec, n_traces: int, seed: int = 0) -> EventLog:
     """Sample ``n_traces`` independent traces from a process model."""
-    if n_traces < 1:
-        raise ValueError(f"n_traces must be >= 1, got {n_traces}")
+    _check_count("n_traces", n_traces, 1)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     width = len(str(n_traces - 1))
@@ -406,14 +405,8 @@ def _labelled_samples(
     [0, max_moves], each from its own seed.  ``samples``, ``max_moves``,
     ``tf_ratio`` and ``seed`` are checked before the reference is built.
     """
-    if samples < 10:
-        raise ValueError(f"samples must be >= 10, got {samples}")
-    if max_moves < 0:
-        raise ValueError(f"max_moves must be >= 0, got {max_moves}")
-    # Past int64, SeedSequence.spawn and np.linspace fail with tracebacks.
-    for name, value in (("samples", samples), ("max_moves", max_moves)):
-        if value > np.iinfo(np.int64).max:
-            raise ValueError(f"{name} must be <= 2**63 - 1, got {value}")
+    _check_count("samples", samples, 10)
+    _check_count("max_moves", max_moves, 0)
     _check_tf_ratio(tf_ratio)
     _check_seed(seed)
     reference = consensus_reference(log, scheme, k=k, seed=seed)

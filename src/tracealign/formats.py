@@ -12,6 +12,7 @@ metric reports are JSON documents with explicit version fields.
 
 from __future__ import annotations
 
+import codecs
 import io
 import json
 from pathlib import Path
@@ -50,10 +51,11 @@ def _check_version(path: object, line_no: int, line: str, magic: str) -> None:
 def _open_text(path: str | Path) -> io.StringIO:
     """The file's UTF-8 text, read as ``open`` reads it (universal newlines).
 
-    Undecodable bytes are a :class:`FileFormatError` at their line and
-    column, not a ``UnicodeDecodeError`` without a path.
+    A leading byte-order mark is dropped, so columns count from the first
+    character after it.  Undecodable bytes are a :class:`FileFormatError`
+    at their line and column, not a ``UnicodeDecodeError`` without a path.
     """
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:

@@ -28,6 +28,7 @@ from .core import (
     SourceMismatchError,
     SymbolCount,
     ThresholdTooHighError,
+    _check_count,
     require_valid,
 )
 
@@ -166,11 +167,7 @@ class PatternCensus:
         The bucket index is floor(buckets * f_p / f_max), with the upper
         edge folded into the last bucket.  Keys come in ascending order.
         """
-        if buckets < 1:
-            raise ValueError(f"buckets must be >= 1, got {buckets}")
-        # The bound of samples and max_moves; past about 1.8e308, buckets * n / f_max overflows.
-        if buckets > np.iinfo(np.int64).max:
-            raise ValueError(f"buckets must be <= 2**63 - 1, got {buckets}")
+        _check_count("buckets", buckets, 1)
         table: dict[tuple[int, int], int] = {}
         for m, rank_table in self._counted():
             # Buckets rise with f_p, so each distinct count is bucketed once.
@@ -573,15 +570,9 @@ class MetricReport:
 
     def values(self) -> dict[str, float | None]:
         """Metric values keyed in report order."""
-        return {
-            "ref_free_sps": self.ref_free_sps,
-            "ref_based_sps": self.ref_based_sps,
-            "column_score": self.column_score,
-            "ms_top": self.ms_top,
-            "oms": self.oms,
-            "ois": self.ois,
-            "complexity": self.complexity.value,
-        }
+        values = {name: getattr(self, name) for name in METRIC_ORDER}
+        values["complexity"] = self.complexity.value
+        return values
 
 
 def evaluate_alignment(

@@ -438,6 +438,8 @@ class TestNegativeSeed:
     """A failing randomized command prints no seed line: stdout stays empty."""
 
     NEGATIVE = "seed must be >= 0, got -1"
+    BIG = str(10**20)
+    TOO_BIG = f"must be <= 2**63 - 1, got {BIG}"
 
     @pytest.mark.parametrize(
         "command, input_fixture, extra, message",
@@ -447,8 +449,27 @@ class TestNegativeSeed:
             ("gen-log", "model_path", ["--seed", "-1", "-n", "3", "-o", "out.log"], NEGATIVE),
             ("correlate", "log_path", ["--seed", "-1", "--samples", "10", "-k", "1"], NEGATIVE),
             ("gen-log", "model_path", ["-n", "0", "-o", "out.log"], "n_traces must be >= 1, got 0"),
+            ("consensus", "log_path", ["-k", BIG, "-o", "out.aln"], f"k {TOO_BIG}"),
+            (
+                "correlate",
+                "log_path",
+                ["-k", BIG, "--samples", "10", "-o", "out.csv", "--report", "out.json"],
+                f"k {TOO_BIG}",
+            ),
+            ("perturb", "alignment_path", ["--moves", BIG, "-o", "out.aln"], f"moves {TOO_BIG}"),
+            ("gen-log", "model_path", ["-n", BIG, "-o", "out.log"], f"n_traces {TOO_BIG}"),
         ],
-        ids=["consensus", "perturb", "gen-log", "correlate", "gen-log-no-traces"],
+        ids=[
+            "consensus",
+            "perturb",
+            "gen-log",
+            "correlate",
+            "gen-log-no-traces",
+            "consensus-k-past-int64",
+            "correlate-k-past-int64",
+            "perturb-moves-past-int64",
+            "gen-log-traces-past-int64",
+        ],
     )
     def test_is_single_line(
         self, request, tmp_path, capsys, command, input_fixture, extra, message

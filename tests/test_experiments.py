@@ -176,6 +176,25 @@ def test_negative_seed_is_named(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: perturb(lower_bound_alignment(), 2**63), "moves"),
+        (lambda: generate_log(load_bundled_model("claims"), 2**63), "n_traces"),
+        (lambda: consensus_reference(lower_bound_alignment().source, k=2**63), "k"),
+    ],
+    ids=["perturb", "generate_log", "consensus_reference"],
+)
+def test_count_past_int64_is_named(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be <= 2\*\*63 - 1, got {2**63}$"):
+        call()
+
+
+def test_seed_has_no_upper_bound():
+    assert len(generate_log(load_bundled_model("claims"), 2, seed=2**64)) == 2
+    assert perturb(lower_bound_alignment(), 1, seed=2**64).seed == 2**64
+
+
 def seq(*parts):
     return SequenceBlock(tuple(parts))
 

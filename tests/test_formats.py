@@ -1,3 +1,4 @@
+import codecs
 import json
 
 import numpy as np
@@ -246,6 +247,30 @@ class TestEncoding:
         with pytest.raises(FileFormatError) as info:
             reader(path)
         assert str(info.value) == f"{path}:2:6: not UTF-8 text (invalid continuation byte)"
+
+    @pytest.mark.parametrize(
+        "reader, write",
+        [
+            (read_log, write_log),
+            (read_alignment, lambda log, path: write_alignment(progressive_align(log), path)),
+            (read_model, lambda log, path: write_model(load_bundled_model("checkout"), path)),
+        ],
+        ids=["log", "alignment", "model"],
+    )
+    def test_byte_order_mark_reads_as_without(self, tmp_path, sample_log, reader, write):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        write(sample_log, plain)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert reader(marked) == reader(plain)
+
+    @pytest.mark.parametrize("reader", [read_log, read_alignment, read_model])
+    def test_undecodable_byte_after_byte_order_mark_is_located(self, tmp_path, reader):
+        # The column counts from the first character after the mark.
+        path = tmp_path / "marked.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"ab\xffc\n")
+        with pytest.raises(FileFormatError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:1:3: not UTF-8 text (invalid start byte)"
 
 
 class TestReportFormats:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tracealign
 from conftest import random_log
@@ -379,6 +381,51 @@ class TestNwScores:
     def test_fewer_than_two_sequences(self):
         assert _kernels.nw_scores(*pad([]), 1.0, -1.0, 0.0).shape == (0, 0)
         assert np.array_equal(_kernels.nw_scores(*pad([[0, 1]]), 1.0, -1.0, 0.0), [[0.0]])
+
+
+# The two cost models ``runs`` cuts under: pairs of ``nw_scores`` and merge
+# groups of ``progressive_align``.
+COSTS = {"pairs": lambda k, a, b: k * (a + b + 1), "merges": lambda k, a, b: k * a * b}
+
+
+def greedy_runs(la, lb, cells, cap):
+    """The items sorted by (la, lb), each run closed before the item that
+    would take its ``cells`` past ``cap``, costed from the run's own sides."""
+    order = sorted(range(len(la)), key=lambda i: (la[i], lb[i]))
+    out, run = [], []
+    for i in order:
+        grown = run + [i]
+        if run and cells(len(grown), max(la[grown]), max(lb[grown])) > cap:
+            out.append(run)
+            run = [i]
+        else:
+            run = grown
+    return out + [run] if run else out
+
+
+class TestRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sides=st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60)), max_size=120),
+        cap=st.integers(1, 5000),
+        cost=st.sampled_from(sorted(COSTS)),
+    )
+    def test_matches_a_greedy_cut_of_the_sorted_items(self, sides, cap, cost):
+        la = np.array([a for a, _ in sides], dtype=np.int64)
+        lb = np.array([b for _, b in sides], dtype=np.int64)
+        cells = COSTS[cost]
+        got = [run.tolist() for run in _kernels.runs(la, lb, cells, cap)]
+        assert got == greedy_runs(la, lb, cells, cap)
+        # The runs partition the sorted order, each within the budget unless
+        # it is one item, and each would pass it with the next item added.
+        assert sum(got, []) == np.lexsort((lb, la)).tolist()
+
+        def cost_of(items):
+            return cells(len(items), la[items].max(), lb[items].max())
+
+        for run, after in zip(got, got[1:] + [[]]):
+            assert len(run) == 1 or cost_of(run) <= cap
+            assert not after or cost_of(run + after[:1]) > cap
 
 
 class TestColumnCounts:

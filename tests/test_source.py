@@ -1,11 +1,17 @@
 import ast
+import importlib
+import importlib.util
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "tracealign").glob("*.py"))
+from tracealign import EventLog, Trace, aligner
+
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "tracealign").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -21,7 +27,7 @@ def test_sources_are_found():
 
 
 def test_readme_library_example_runs(capsys):
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
@@ -96,3 +102,37 @@ def test_every_import_is_used(path):
     }
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in read]
     assert unused == [], f"{path.name} never reads the imports {unused}"
+
+
+def test_benchmark_tracer_finds_what_it_wraps():
+    # perfbench/traced.py wraps these functions by name and reads these
+    # parameters from each call's bound arguments to count the work done.
+    path = ROOT / "perfbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    functions = {}
+    for module_name, names in traced.TARGETS.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+            functions[name] = getattr(module, name)
+    read = {"nw_scores": "lengths", "profile_fill": "s", "perturb": "moves"}
+    for name, parameter in read.items():
+        assert name in traced.WORK
+        assert parameter in inspect.signature(functions[name]).parameters, f"{name}({parameter})"
+
+
+def test_progressive_align_merges_through_align_profiles(monkeypatch):
+    # The benchmark counts ``align_profiles`` calls, which a lone merge group makes.
+    calls = []
+    align_profiles = aligner.align_profiles
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return align_profiles(*args, **kwargs)
+
+    monkeypatch.setattr(aligner, "align_profiles", counted)
+    log = EventLog([Trace("a", ["x", "y"]), Trace("b", ["x", "z"]), Trace("c", ["y", "z"])])
+    aligner.progressive_align(log)
+    assert len(calls) >= 1
