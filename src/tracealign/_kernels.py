@@ -1,28 +1,32 @@
-"""Hot numeric kernels, one numpy implementation each.
+"""Hot numeric kernels, numpy only.
 
 ``profile_fill`` is the one pointer-table DP: global alignment over a
 matrix of pair scores and per-position gap costs.  Pairwise alignment
 and every profile merge run it, and a group of merges of one guide-tree
 level runs it together: merge m is the last axis of a zero-padded
-(A, B, M) slab, a lone merge's too (M = 1), so one anti-diagonal of
-every merge is one strided ``(cells, M)`` slice.  It fills the whole
-slab, keeps a block of whole diagonals in one buffer, derives the
-pointer codes of the block at once and returns the slab's last cell,
-the score of every merge as large as the slab.  All-pairs scoring
+(A, B, M) slab, a lone merge's too (M = 1).  It fills the whole slab,
+derives the pointer codes of a block of cells at once, keeps them in
+one diagonal-by-diagonal layout and returns the slab's last cell, the
+score of every merge as large as the slab.  All-pairs scoring
 (``nw_scores``) runs its recurrence for constant scores, keeping only
-the scores, with the same float64 results, fill order and tie-breaking;
-its pairs are the columns of each array, so a block of pairs sweeps one
-contiguous slab per diagonal.  ``runs`` is the one cut of both: it
-sorts items by their sides and cuts them under a cell budget, pairs
-into blocks and a level's merges into groups.  Both sweeps let float
-overflow run to +-inf, which is exact, without a warning.  Misalignment
-scoring (``ms_pattern``) scores every pattern of an instance index in
-one blocked pass per alignment, summing each pattern in int64; it and
-the column statistics are whole-array numpy passes.  There is no other
+the scores, with the same float64 results.  Each DP picks its sweep
+from its inputs: where a gap step adds exactly +0.0, ``profile_fill``
+sweeps line by line, each line a prefix maximum, and ``nw_scores``
+counts the longest common subsequence with bit-parallel words; every
+other input sweeps the anti-diagonals, each pair or merge one column
+of every array.  ``runs`` is the one cut of both: it sorts items by
+their sides and cuts them under a cell budget, pairs into blocks and a
+level's merges into groups.  The sweeps let float overflow run to
++-inf, which is exact, without a warning.  Misalignment scoring
+(``ms_pattern``) scores every pattern of an instance index in one
+blocked pass per alignment, summing each pattern in int64; it and the
+column statistics are whole-array numpy passes.  There is no other
 backend.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,13 +42,15 @@ DIAG, UP, LEFT = 0, 1, 2
 # ---------------------------------------------------------------------------
 # All-pairs global alignment scores over integer-coded sequences.
 
-# Cell budget of one block of the all-pairs sweep, counted as
-# pairs x (A + B + 1) for the block's longest sides A and B, which
-# ``runs`` cuts the pairs under; a merge group's slab gets
-# ``aligner._LEVEL_BLOCKS`` times as many cells.  It bounds
-# both the rolling diagonals and the gathered codes, so a block's
-# temporaries stay well under a megabyte.  ``profile_fill`` buffers that
-# many cells of candidates before it writes their pointer codes,
+# Cell budget of one block of the all-pairs sweep, which ``runs`` cuts
+# the pairs under, for the block's longest sides A and B: pairs x
+# (A + B + 1) on the anti-diagonals, pairs x (B + 1 + symbols x 64-bit
+# words of A) for the bit-parallel LCS.  A merge group's slab gets
+# ``aligner._LEVEL_BLOCKS`` times as many cells.  It bounds the rolling
+# diagonals or bit vectors, the match masks and the gathered codes, so a
+# block's temporaries stay well under a megabyte.  Both sweeps of
+# ``profile_fill`` buffer that many cells of candidates before they
+# write their pointer codes,
 # ``aligner._column_pair_scores`` writes pair scores in blocks of rows of
 # that many cells, and ``ms_pattern`` cuts its work under the same
 # budget, counted as (N, N) pair tables and as instance rows x pattern
@@ -55,26 +61,55 @@ _BLOCK_CELLS = 1 << 14
 def nw_scores(padded, lengths, match, mismatch, gap):
     """All-pairs best global alignment scores, (N, N) and symmetric.
 
-    Every pair (i < j) runs the recurrence of ``profile_fill`` as
-    ``pairwise_align`` sets it up (constant gap costs, boundary
-    ``gap * k``), with trace i as the first side, but many pairs share
-    one numpy sweep over the anti-diagonals: ``runs`` cuts the pairs,
-    sorted by (la, lb), into blocks under ``_BLOCK_CELLS`` and each block
-    keeps three rolling ``(A+1, pairs)`` diagonals with
+    Every pair (i < j) gets the score of the recurrence of ``profile_fill``
+    as ``pairwise_align`` sets it up (constant gap costs, boundary
+    ``gap * k``), with trace i as the first side, bit for bit, but many
+    pairs share one numpy sweep: ``runs`` cuts the pairs, sorted by
+    (la, lb), into blocks under ``_BLOCK_CELLS``.
+
+    When ``gap`` is +0.0 and ``mismatch`` is finite with
+    ``mismatch <= 0 < match``, a block is one bit-parallel LCS sweep
+    (``_lcs_lengths``) and a pair scores ``sums[LCS]``, its longest common
+    subsequence's matches summed one by one.  That is the DP's float: a
+    gap adds +0.0, a mismatch never beats two gaps, and rounding is
+    monotone, so every cell holds ``sums`` of its own LCS, overflow to
+    +inf and subnormal ``match`` included.
+
+    Every other scheme sweeps the anti-diagonals (``_nw_block``): each
+    block keeps three rolling ``(A+1, pairs)`` diagonals with
     ``H_d[i, p] = h_p[i, d - i]``.  A cell adds the constant gap once,
     to the larger of its UP and LEFT predecessors: rounding is monotone,
-    so that is the larger of the two sums ``profile_fill`` takes, and
-    scores equal ``pairwise_align``'s bit for bit.  Cells past a pair's
-    own (la, lb) read -1 padding, but they never feed that pair's cells,
-    which only look up and left.
+    so that is the larger of the two sums ``profile_fill`` takes.  Cells
+    past a pair's own (la, lb) read -1 padding, but they never feed that
+    pair's cells, which only look up and left.
     """
     n = lengths.size
     out = np.zeros((n, n), dtype=np.float64)
     first, second = np.triu_indices(n, 1)
     la, lb = lengths[first], lengths[second]
-    for run in runs(la, lb, lambda k, a, b: k * (a + b + 1), _BLOCK_CELLS):
+    if gap == 0 and math.copysign(1.0, gap) > 0 and -math.inf < mismatch <= 0 < match:
+        # Code -1, then every code of the log: the rows of a match mask table.
+        symbols = int(padded.max(initial=-1)) + 2
+        with np.errstate(over="ignore"):
+            sums = np.add.accumulate(np.append(0.0, np.full(lengths.max(initial=0), match)))
+
+        def cells(k, a, b):
+            return k * (b + 1 + symbols * ((a + 63) // 64))
+
+        def block(i, j, a, b):
+            return sums[_lcs_lengths(padded, i, j, a, b, symbols)]
+
+    else:
+
+        def cells(k, a, b):
+            return k * (a + b + 1)
+
+        def block(i, j, a, b):
+            return _nw_block(padded, i, j, a, b, match, mismatch, gap)
+
+    for run in runs(la, lb, cells, _BLOCK_CELLS):
         i, j = first[run], second[run]
-        scores = _nw_block(padded, i, j, la[run], lb[run], match, mismatch, gap)
+        scores = block(i, j, la[run], lb[run])
         out[i, j] = scores
         out[j, i] = scores
     return out
@@ -97,6 +132,51 @@ def runs(la, lb, cells, cap):
         stop = start + max(1, int(np.count_nonzero(cost <= cap)))
         yield order[start:stop]
         start = stop
+
+
+def _lcs_lengths(padded, first, second, la, lb, symbols):
+    """LCS lengths of the pairs (padded[first[p]], padded[second[p]]), one sweep.
+
+    The bit-parallel row step of Allison and Dix (1986) as Hyyro (2004)
+    writes it, over 64-bit words, for a whole block at once: the first
+    side of pair p is the bit vector, column p of ``v``, and each code of
+    its second side is one step ``u = v & mask[code]``,
+    ``v = (v + u) | (v & ~u)``, the sum carried from word to word.  The
+    LCS is the count of zero bits of ``v``.  A bit past the first side's
+    end has no mask bit, so it stays 1; a code of -1, padding past either
+    side's end, reads an empty mask and leaves ``v`` as it is.
+    """
+    A, B = int(la.max()), int(lb.max())
+    words = max(1, -(-A // 64))
+    # Word w of masks[t, c + 1] has bit q set where the t-th distinct first
+    # side holds code c at position 64 * w + q; masks[t, 0] stays empty.
+    present = np.zeros(padded.shape[0], dtype=np.bool_)
+    present[first] = True
+    sides = np.flatnonzero(present)
+    side_of = np.searchsorted(sides, first)
+    masks = np.zeros((sides.size, symbols, words), dtype=np.uint64)
+    at = np.arange(A)
+    bits = np.left_shift(np.uint64(1), (at % 64).astype(np.uint64))
+    np.bitwise_or.at(masks, (np.arange(sides.size)[:, None], padded[sides, :A] + 1, at // 64), bits)
+    masks[:, 0] = 0
+    masks = np.ascontiguousarray(masks.reshape(-1, words).T)
+    # Column p of rows[r]: the mask row that code r of pair p's second side reads.
+    rows = padded[second, :B].T + 1 + side_of * symbols
+    v = np.full((words, first.size), np.iinfo(np.uint64).max, dtype=np.uint64)
+    keep = np.empty_like(v)
+    for row in rows:
+        u = masks.take(row, axis=1)
+        u &= v
+        np.bitwise_xor(v, u, out=keep)  # v & ~u, as u lies within v
+        v += u  # word by word; the carries follow
+        # A word passes a carry on where its own sum wrapped, or where the
+        # carry it took in wrapped it to 0.
+        wrapped = v[:-1] < u[:-1]
+        for w in range(1, words):
+            carry = wrapped[0] if w == 1 else wrapped[w - 1] | (carry & (v[w - 1] == 0))
+            v[w] += carry
+        v |= keep
+    return np.bitwise_count(~v).sum(axis=0)
 
 
 def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
@@ -160,23 +240,94 @@ def profile_fill(s, ga, gb, col0, row0):
     no float warning.  A lone merge is the slab with M = 1: every array of
     the sweep is ``(cells, M)``, one shape for any M.
 
-    The sweep runs over anti-diagonals; one diagonal of every merge is
-    one ``(cells, M)`` basic strided slice of ``s``.  Diagonal d keeps
-    ``h[i, d - i]`` for its cells i = lo..hi and for the slot on either
-    side, which holds ``h[0, d]`` or ``h[d, 0]`` where that lies on the
-    first row or column.  A block of whole diagonals, about
-    ``_BLOCK_CELLS`` cells, follows in one buffer the two diagonals it
-    reads from the block before, so each diagonal takes five array
-    operations and memory is linear in the side lengths.  The pointer
-    codes of a block come from four whole-block operations and are kept
-    diagonal by diagonal, in sweep order: the code of cell (i, j), for
-    1 <= i <= A and 1 <= j <= B, is ``ptr[base[i + j] + i]``, and the
-    first row and column, where a traceback has one way to go, have none.
-    Ties prefer DIAG, then UP, then LEFT.  Float overflow to +-inf is
-    exact here and raises no warning.  Returns ``(ptr, base, corner)``:
-    ``ptr`` is (rows, M), ``base`` a list of A + B + 1 offsets and
+    When every entry of ``ga``, ``gb``, ``col0`` and ``row0`` is +0.0,
+    ``_line_fill`` sweeps the slab line by line, each line a prefix
+    maximum.  Every other input sweeps the anti-diagonals
+    (``_diagonal_fill``).  Both keep the pointer codes diagonal by
+    diagonal, in one layout: the code of cell (i, j), for 1 <= i <= A and
+    1 <= j <= B, is ``ptr[base[i + j] + i]``, and the first row and
+    column, where a traceback has one way to go, have none.  Ties prefer
+    DIAG, then UP, then LEFT.  Float overflow to +-inf is exact here and
+    raises no warning.  Returns ``(ptr, base, corner)``: ``ptr`` is
+    (rows, M), ``base`` a list of A + B + 1 offsets and
     ``corner[m] = h_m[A, B]``, the best score of every merge whose sides
     are the slab's.
+    """
+    A, B, M = s.shape
+    diagonals = np.arange(A + B + 1)
+    lo, hi = np.maximum(1, diagonals - B), np.minimum(A, diagonals - 1)
+    # Diagonal d holds h[lo - 1 .. hi + 1, d - i] in rows seg[d] to
+    # seg[d + 1] - 1 of ``ptr``: its cells and the slot on either side.
+    seg = np.zeros(A + B + 2, dtype=np.int64)
+    np.cumsum(hi - lo + 3, out=seg[1:])
+    base = seg[:-1] - lo + 1
+    ptr = np.empty((int(seg[-1]), M), dtype=np.uint8)
+    base_at = base.tolist()
+    with np.errstate(over="ignore"):
+        if any(x.any() or np.signbit(x).any() for x in (ga, gb, col0, row0)):
+            corner = _diagonal_fill(s, ga, gb, col0, row0, ptr, seg, lo, hi, base_at)
+        else:
+            corner = _line_fill(s, ptr, base)
+    return ptr, base_at, corner
+
+
+def _line_fill(s, ptr, base):
+    """``profile_fill`` with every gap cost and edge +0.0, line by line.
+
+    h starts at +0.0 and never becomes -0.0, so ``x + 0.0 == x`` for every
+    value it holds, and a row of h is the prefix maximum of
+    ``max(h_prev[:-1] + s_row, h_prev[1:])`` from the edge +0.0: the
+    floats of the anti-diagonal sweep, taken in another order, a NaN
+    spreading along the row as the LEFT chain spreads it.  The lines run
+    along the shorter side, so where A > B they are the columns, read
+    through the strided view ``s.transpose(1, 0, 2)``.  A block of lines,
+    about ``_BLOCK_CELLS`` cells, keeps its DIAG candidates and scores,
+    plus the line before it, and derives its pointer codes at once: UP
+    is the line before where the lines are rows, and the cell before
+    where they are columns.  Returns the corner h[A, B].
+    """
+    A, B, M = s.shape
+    rows = A <= B
+    lines = s if rows else s.transpose(1, 0, 2)
+    count, length = lines.shape[:2]
+    size = max(1, min(_BLOCK_CELLS // ((length + 1) * M), count))
+    # h[0] is the line before the block; position 0 of every line is its
+    # edge.  With no lines, h[0, -1] is the edge h[A, B] = +0.0.
+    h = np.zeros((size + 1, length + 1, M))
+    diag = np.empty((size, length, M))
+    codes = np.empty((size, length, M), dtype=np.uint8)
+    along = np.arange(1, length + 1)
+    for first in range(0, count, size):
+        n = min(size, count - first)
+        for r in range(n):
+            np.add(h[r, :-1], lines[first + r], out=diag[r])
+            np.maximum(diag[r], h[r, 1:], out=h[r + 1, 1:])
+            np.maximum.accumulate(h[r + 1], axis=0, out=h[r + 1])
+        best = h[1 : n + 1, 1:]
+        up = h[:n, 1:] if rows else h[1 : n + 1, :-1]
+        _write_codes(codes[:n], diag[:n], up, best)
+        # Cell (i, j) is row base[i + j] + i of ``ptr``.
+        line = np.arange(first + 1, first + n + 1)[:, None]
+        at = np.add(line, along)
+        np.take(base, at, out=at)
+        at += line if rows else along
+        ptr[at] = codes[:n]
+        h[0] = h[n]
+    return h[0, -1].copy()
+
+
+def _diagonal_fill(s, ga, gb, col0, row0, ptr, seg, lo, hi, base):
+    """``profile_fill`` for any gap costs and edges, over anti-diagonals.
+
+    One diagonal of every merge is one ``(cells, M)`` basic strided slice
+    of ``s``.  Diagonal d keeps ``h[i, d - i]`` for its cells i = lo..hi
+    and for the slot on either side, which holds ``h[0, d]`` or
+    ``h[d, 0]`` where that lies on the first row or column.  A block of
+    whole diagonals, about ``_BLOCK_CELLS`` cells, follows in one buffer
+    the two diagonals it reads from the block before, so each diagonal
+    takes five array operations and memory is linear in the side
+    lengths.  The pointer codes of a block come from four whole-block
+    operations, in sweep order.  Returns the corner h[A, B].
     """
     A, B, M = s.shape
     # The pair score of (i - 1, j - 1) is row (i - 1) * B + j - 1 of ``s``.
@@ -184,57 +335,48 @@ def profile_fill(s, ga, gb, col0, row0):
     gb_rev = np.ascontiguousarray(gb[::-1])
     # A diagonal of one cell, all there is when B == 1, takes any step.
     step = max(B - 1, 1)
-    diagonals = np.arange(A + B + 1)
-    lo, hi = np.maximum(1, diagonals - B), np.minimum(A, diagonals - 1)
-    # Diagonal d holds h[lo - 1 .. hi + 1, d - i] in rows seg[d] to
-    # seg[d + 1] - 1 of ``ptr``, and, less ``shift``, of the block buffers.
-    seg = np.zeros(A + B + 2, dtype=np.int64)
-    np.cumsum(hi - lo + 3, out=seg[1:])
-    base = (seg[:-1] - lo + 1).tolist()
     # The rows of h[0, d] for d <= B and of h[d, 0] for d <= A.
     top, bottom = seg[: B + 1], seg[1 : A + 2] - 1
-    ptr = np.empty((int(seg[-1]), M), dtype=np.uint8)
     # Scores, DIAG and UP candidates: two kept diagonals, then a block.
     # A diagonal has at most min(A, B) + 2 rows, so three always fit, and
-    # no buffer outgrows the whole sweep.
+    # no buffer outgrows the whole sweep.  Block rows are ``seg`` rows
+    # less ``shift``.
     size = min(max(_BLOCK_CELLS // M, 3 * (min(A, B) + 2)), int(seg[-1]))
     h, diag_buf, up_buf = (np.zeros((size, M)) for _ in range(3))
     seg_at, lo_at, hi_at = seg.tolist(), lo.tolist(), hi.tolist()
     first = shift = 0  # the block's first diagonal; the ``seg`` row of h[0]
-    with np.errstate(over="ignore"):
-        while first <= A + B:
-            last = int(np.searchsorted(seg, shift + size, side="right")) - 1
-            last = min(max(last, first + 1), A + B + 1)
-            top_end, bottom_end = min(last, B + 1), min(last, A + 1)
-            h[top[first:top_end] - shift] = row0[first:top_end]
-            h[bottom[first:bottom_end] - shift] = col0[first:bottom_end]
-            for d in range(max(first, 2), last):
-                i0, i1 = lo_at[d], hi_at[d]
-                if i0 > i1:
-                    continue
-                n = i1 - i0 + 1
-                out = slice(seg_at[d] + 1 - shift, seg_at[d] + 1 - shift + n)
-                up_at = base[d - 1] - shift + i0 - 1
-                diag_at = base[d - 2] - shift + i0 - 1
-                # s[i - 1, d - i - 1] for i = i0..i1, at rows (i - 1) * (B - 1) + d - 2.
-                at = (i0 - 1) * (B - 1) + d - 2
-                pair = s_cells[at : at + n * step : step]
-                diag = np.add(h[diag_at : diag_at + n], pair, out=diag_buf[out])
-                up = np.add(h[up_at : up_at + n], ga[i0 - 1 : i1], out=up_buf[out])
-                gb_d = gb_rev[B - d + i0 : B - d + i1 + 1]
-                best = np.add(h[up_at + 1 : up_at + n + 1], gb_d, out=h[out])
-                np.maximum(up, best, out=best)
-                np.maximum(diag, best, out=best)
-            rows = slice(seg_at[first] - shift, seg_at[last] - shift)
-            codes = ptr[seg_at[first] : seg_at[last]]
-            _write_codes(codes, diag_buf[rows], up_buf[rows], h[rows])
-            # The next block reads the last two diagonals of this one.
-            keep = seg_at[max(last - 2, 0)]
-            h[: seg_at[last] - keep] = h[keep - shift : seg_at[last] - shift].copy()
-            first, shift = last, keep
+    while first <= A + B:
+        last = int(np.searchsorted(seg, shift + size, side="right")) - 1
+        last = min(max(last, first + 1), A + B + 1)
+        top_end, bottom_end = min(last, B + 1), min(last, A + 1)
+        h[top[first:top_end] - shift] = row0[first:top_end]
+        h[bottom[first:bottom_end] - shift] = col0[first:bottom_end]
+        for d in range(max(first, 2), last):
+            i0, i1 = lo_at[d], hi_at[d]
+            if i0 > i1:
+                continue
+            n = i1 - i0 + 1
+            out = slice(seg_at[d] + 1 - shift, seg_at[d] + 1 - shift + n)
+            up_at = base[d - 1] - shift + i0 - 1
+            diag_at = base[d - 2] - shift + i0 - 1
+            # s[i - 1, d - i - 1] for i = i0..i1, at rows (i - 1) * (B - 1) + d - 2.
+            at = (i0 - 1) * (B - 1) + d - 2
+            pair = s_cells[at : at + n * step : step]
+            diag = np.add(h[diag_at : diag_at + n], pair, out=diag_buf[out])
+            up = np.add(h[up_at : up_at + n], ga[i0 - 1 : i1], out=up_buf[out])
+            gb_d = gb_rev[B - d + i0 : B - d + i1 + 1]
+            best = np.add(h[up_at + 1 : up_at + n + 1], gb_d, out=h[out])
+            np.maximum(up, best, out=best)
+            np.maximum(diag, best, out=best)
+        rows = slice(seg_at[first] - shift, seg_at[last] - shift)
+        codes = ptr[seg_at[first] : seg_at[last]]
+        _write_codes(codes, diag_buf[rows], up_buf[rows], h[rows])
+        # The next block reads the last two diagonals of this one.
+        keep = seg_at[max(last - 2, 0)]
+        h[: seg_at[last] - keep] = h[keep - shift : seg_at[last] - shift].copy()
+        first, shift = last, keep
     # The last block kept diagonal A + B in h; h[A, B] is its row base + A, less shift.
-    corner = h[base[A + B] - shift + A].copy()
-    return ptr, base, corner
+    return h[base[A + B] - shift + A].copy()
 
 
 def _write_codes(out, diag, up, best):

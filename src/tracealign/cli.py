@@ -38,10 +38,14 @@ def _scheme(args: argparse.Namespace) -> ScoringScheme:
 
 
 def _check_paths(args: argparse.Namespace) -> None:
+    # An input may be a pipe or any other file that is not a directory.
     for name in ("input", "reference", "model"):
         value = getattr(args, name, None)
-        if value is not None and not Path(value).is_file():
-            raise TraceAlignError(f"input file not found: {value}")
+        if value is not None:
+            if Path(value).is_dir():
+                raise TraceAlignError(f"input path is a directory: {value}")
+            if not Path(value).exists():
+                raise TraceAlignError(f"input file not found: {value}")
     for name in ("output", "report", "samples_out"):
         value = getattr(args, name, None)
         if value is not None:

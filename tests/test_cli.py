@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tracealign
 
 from tracealign import (
     ActivityBlock,
@@ -414,6 +420,46 @@ class TestOutputPathIsDirectory:
         code = main([command, str(path), *extra])
         assert_single_line_error(code, capsys.readouterr(), f"output path is a directory: {target}")
         assert list(target.iterdir()) == [] and not other.exists()
+
+
+class TestInputPath:
+    """An input path naming a directory is refused with one line; any other
+    file that exists, a pipe too, is read."""
+
+    @pytest.mark.parametrize(
+        "command, input_fixture, args",
+        [
+            ("align", "log_path", ["DIR", "-o", "OUT"]),
+            ("evaluate", "alignment_path", ["INPUT", "--reference", "DIR", "-o", "OUT"]),
+            ("gen-log", "model_path", ["DIR", "-n", "3", "-o", "OUT"]),
+        ],
+        ids=["align-input", "evaluate-reference", "gen-log-model"],
+    )
+    def test_directory_is_single_line(self, request, tmp_path, capsys, command, input_fixture, args):
+        path = request.getfixturevalue(input_fixture)
+        capsys.readouterr()  # the fixture's own commands print their seeds
+        target, out = tmp_path / "in_dir", tmp_path / "result.out"
+        target.mkdir()
+        args = [{"DIR": str(target), "INPUT": str(path), "OUT": str(out)}.get(a, a) for a in args]
+        code = main([command, *args])
+        assert_single_line_error(code, capsys.readouterr(), f"input path is a directory: {target}")
+        assert not out.exists()
+
+    def test_log_through_a_pipe_reads_as_the_file(self, log_path, alignment_path, tmp_path):
+        src = str(Path(tracealign.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = tmp_path / "piped.aln"
+        read_end, write_end = os.pipe()
+        command = [sys.executable, "-m", "tracealign.cli", "align", f"/dev/fd/{read_end}"]
+        with subprocess.Popen(
+            [*command, "-o", str(out)], env=env, pass_fds=(read_end,), stderr=subprocess.PIPE
+        ) as proc:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(log_path.read_bytes())
+            assert proc.wait(timeout=60) == 0, proc.stderr.read()
+        assert out.read_bytes() == alignment_path.read_bytes()
 
 
 class TestDeterminismAcrossCommands:

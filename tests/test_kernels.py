@@ -17,11 +17,13 @@ from oracles import (
     traceback_oracle,
 )
 from tracealign import (
+    DEFAULT_SCHEME,
     EventLog,
     Pattern,
     ScoringScheme,
     Trace,
     _kernels,
+    consensus_reference,
     extract_patterns,
     pairwise_align,
     progressive_align,
@@ -36,6 +38,11 @@ NON_DYADIC = [(1.0, -0.3, -0.1), (0.1, -0.2, 0.3), (3.3, 1.1, -0.7), (1.0, -0.0,
 # A scheme whose gap sums overflow to -inf, so whole regions of the table
 # tie at -inf and the pointer codes there come from comparing infinities.
 OVERFLOW = (1e300, -1e308, -1e308)
+# Schemes whose gap is +0.0, which take the zero-gap sweeps: rounded sums,
+# a mismatch of +0.0 and of -0.0, and one whose match sums overflow to
+# +inf, so whole regions of the table tie at +inf.
+ZERO_GAP_OVERFLOW = (1e308, -1e308, 0.0)
+ZERO_GAP = [(0.1, -0.2, 0.0), (1.0, 0.0, 0.0), (1.0, -0.0, 0.0), ZERO_GAP_OVERFLOW]
 # Block budgets for ``_kernels._BLOCK_CELLS``: the default, and budgets so
 # small that blocks end on every diagonal or every few diagonals.
 BLOCK_CELLS = [_kernels._BLOCK_CELLS, 1, 2, 7]
@@ -105,8 +112,10 @@ def check_score(score, h):
 
 
 def overflow_allowed(scheme):
-    """Silence float overflow for ``OVERFLOW`` only; finite scores make no NaN."""
-    return np.errstate(over="ignore") if scheme == OVERFLOW else np.errstate()
+    """Silence float overflow for the overflowing schemes only; finite scores
+    make no NaN."""
+    overflows = scheme in (OVERFLOW, ZERO_GAP_OVERFLOW)
+    return np.errstate(over="ignore") if overflows else np.errstate()
 
 
 def profile_shapes(rng):
@@ -120,7 +129,7 @@ class TestNwFill:
     """``pairwise_align`` against the frozen full-table pairwise fill and
     against every alignment path."""
 
-    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC + [OVERFLOW])
+    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC + [OVERFLOW] + ZERO_GAP)
     def test_matches_full_table_fill(self, rng, scheme):
         for _ in range(100):
             la, lb = (int(n) for n in rng.integers(1, 12, size=2))
@@ -176,7 +185,7 @@ class TestProfileFill:
                 else:
                     self.check(s, ga, gb)
 
-    @pytest.mark.parametrize("scheme", NON_DYADIC + [OVERFLOW])
+    @pytest.mark.parametrize("scheme", NON_DYADIC + [OVERFLOW] + ZERO_GAP)
     def test_scheme_pointers_match_full_table_fill(self, rng, monkeypatch, scheme):
         match, mismatch, gap = scheme
         for block_cells in BLOCK_CELLS:
@@ -222,7 +231,7 @@ class TestProfileFill:
                         check_score(score, h)
                         assert np.array_equal(np.stack(path), np.stack(traceback_oracle(expected)))
 
-    @pytest.mark.parametrize("scheme", NON_DYADIC + [OVERFLOW])
+    @pytest.mark.parametrize("scheme", NON_DYADIC + [OVERFLOW] + ZERO_GAP)
     def test_scheme_merges_in_one_sweep_match_full_table_fill(self, rng, monkeypatch, scheme):
         match, mismatch, gap = scheme
         for block_cells in BLOCK_CELLS:
@@ -259,6 +268,41 @@ class TestProfileFill:
                     assert np.array_equal(ptr, expected)
                     check_score(score, h)
                     assert np.array_equal(np.stack(path), np.stack(traceback_oracle(expected)))
+
+    def test_zero_gaps_match_full_table_fill(self, rng, monkeypatch):
+        # Gap costs and edges of +0.0 take the line sweep: rows where A <= B,
+        # columns where A > B, one and zero wide, alone and in shared slabs.
+        for block_cells in BLOCK_CELLS:
+            monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
+            for trial in range(6):
+                n = int(rng.integers(2, 25))
+                shapes = [(n, n + 7), (n + 7, n), (n, n), (1, n), (n, 1), (1, 1), (0, n), (n, 0)]
+                merges = []
+                for la, lb in shapes:
+                    if trial % 2:
+                        # Integer scores force ties, so the tie-break is compared too.
+                        s = rng.integers(-2, 3, size=(la, lb)).astype(np.float64)
+                    else:
+                        s = rng.normal(size=(la, lb))
+                    merges.append((s, np.zeros(la), np.zeros(lb)))
+                poisoned = trial % 3 == 2
+                if poisoned:
+                    # NaN and infinities spread along a line as the LEFT chain does.
+                    for s, _, _ in merges:
+                        s[rng.random(size=s.shape) < 0.1] = np.nan
+                        s[rng.random(size=s.shape) < 0.1] = np.inf
+                        s[rng.random(size=s.shape) < 0.1] = -np.inf
+                # Each merge alone, then all in one slab, then the slabs of the
+                # first two, which are taller than wide and wider than tall.
+                groups = [[m] for m in merges] + [merges, merges[:2], merges[1::-1]]
+                with np.errstate(invalid="ignore") if poisoned else np.errstate():
+                    for group in groups:
+                        for (s, ga, gb), (ptr, score, path) in zip(group, fill_merges(group)):
+                            h, expected = full_table_profile_fill(s, ga, gb)
+                            assert np.array_equal(ptr, expected)
+                            check_score(score, h)
+                            walked = traceback_oracle(expected)
+                            assert np.array_equal(np.stack(path), np.stack(walked))
 
     def test_traced_path_scores_the_best_path(self, rng):
         for la, lb in itertools.product(range(6), repeat=2):
@@ -360,7 +404,7 @@ class TestNwScores:
         for i, j in itertools.combinations(range(len(sequences)), 2):
             assert scores[i, j] == brute_force_best_score(sequences[i], sequences[j], *scheme)
 
-    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC + [OVERFLOW])
+    @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC + [OVERFLOW] + ZERO_GAP)
     def test_matches_pairwise_fill_across_blocks(self, rng, monkeypatch, scheme):
         # A small budget splits the pairs into many blocks of unequal shapes.
         monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 200)
@@ -372,6 +416,31 @@ class TestNwScores:
                 h, _ = nw_fill(sequences[i], sequences[j], *scheme)
                 assert scores[i, j].hex() == h[-1, -1].hex()
 
+    @pytest.mark.parametrize("block_cells", [200, _kernels._BLOCK_CELLS])
+    @pytest.mark.parametrize("scheme", [SCHEMES[0]] + ZERO_GAP)
+    def test_word_boundaries_match_pairwise_fill(self, rng, monkeypatch, block_cells, scheme):
+        # Sides that end short of, on and past 64-bit word boundaries.  One
+        # symbol matches everywhere, so a carry crosses every word.
+        monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
+        sweeps = []
+        lcs_lengths = _kernels._lcs_lengths
+
+        def counted(*args):
+            sweeps.append(args[1].size)
+            return lcs_lengths(*args)
+
+        monkeypatch.setattr(_kernels, "_lcs_lengths", counted)
+        for symbols in (1, 2, 5):
+            sequences = [rng.integers(0, symbols, size=n) for n in (0, 63, 64, 65, 128, 129)]
+            with overflow_allowed(scheme):
+                scores = _kernels.nw_scores(*pad(sequences), *scheme)
+                for i, j in itertools.combinations(range(len(sequences)), 2):
+                    h, _ = nw_fill(sequences[i], sequences[j], *scheme)
+                    assert scores[i, j].hex() == scores[j, i].hex() == h[-1, -1].hex()
+        if block_cells == BLOCK_CELLS[0]:
+            # At the default budget all 15 pairs of a log share one sweep.
+            assert sweeps == [15, 15, 15]
+
     def test_symmetric_with_zero_diagonal(self, rng):
         sequences = [rng.integers(0, 3, size=int(n)) for n in rng.integers(0, 12, size=15)]
         scores = _kernels.nw_scores(*pad(sequences), 1.0, -1.0, -1.0)
@@ -381,6 +450,48 @@ class TestNwScores:
     def test_fewer_than_two_sequences(self):
         assert _kernels.nw_scores(*pad([]), 1.0, -1.0, 0.0).shape == (0, 0)
         assert np.array_equal(_kernels.nw_scores(*pad([[0, 1]]), 1.0, -1.0, 0.0), [[0.0]])
+
+
+class GeneralSweep(Exception):
+    """Raised in place of an anti-diagonal sweep."""
+
+
+class TestZeroGapSweeps:
+    """The default scheme takes the zero-gap sweeps; any other gap, or a
+    mismatch above 0, takes the anti-diagonal ones."""
+
+    @pytest.fixture
+    def log(self, rng):
+        return random_log(rng, n_traces=12, min_len=1, max_len=70)
+
+    @pytest.fixture(autouse=True)
+    def general_sweeps_raise(self, monkeypatch):
+        def refuse(*args):
+            raise GeneralSweep
+
+        monkeypatch.setattr(_kernels, "_nw_block", refuse)
+        monkeypatch.setattr(_kernels, "_diagonal_fill", refuse)
+
+    def test_default_scheme_takes_zero_gap_sweeps(self, log):
+        assert DEFAULT_SCHEME.gap == 0.0
+        pairwise_align(log.traces[0], log.traces[1])
+        progressive_align(log)
+        consensus_reference(log, k=3, seed=1)
+
+    @pytest.mark.parametrize("gap", [-0.25, -0.0])
+    def test_other_gaps_take_general_sweeps(self, log, gap):
+        scheme = ScoringScheme(1.0, -1.0, gap)
+        with pytest.raises(GeneralSweep):
+            pairwise_align(log.traces[0], log.traces[1], scheme)
+        with pytest.raises(GeneralSweep):
+            _kernels.nw_scores(log.padded_codes, log.lengths, 1.0, -1.0, gap)
+        tree = tracealign.build_guide_tree(tracealign.distance_matrix(log))
+        with pytest.raises(GeneralSweep):
+            progressive_align(log, scheme, tree)
+
+    def test_positive_mismatch_takes_general_all_pairs_sweep(self, log):
+        with pytest.raises(GeneralSweep):
+            _kernels.nw_scores(log.padded_codes, log.lengths, 3.0, 1.0, 0.0)
 
 
 # The two cost models ``runs`` cuts under: pairs of ``nw_scores`` and merge
