@@ -12,7 +12,8 @@ score of every merge as large as the slab.  All-pairs scoring
 the scores, with the same float64 results.  Each DP picks its sweep
 from its inputs: where a gap step adds exactly +0.0, ``profile_fill``
 sweeps line by line, each line a prefix maximum, and ``nw_scores``
-counts the longest common subsequence with bit-parallel words; every
+counts the longest common subsequence with bit-parallel words for each
+pair whose first side is at least as long as its match masks; every
 other input sweeps the anti-diagonals, each pair or merge one column
 of every array.  ``runs`` is the one cut of both: it sorts items by
 their sides and cuts them under a cell budget, pairs into blocks and a
@@ -45,7 +46,8 @@ DIAG, UP, LEFT = 0, 1, 2
 # Cell budget of one block of the all-pairs sweep, which ``runs`` cuts
 # the pairs under, for the block's longest sides A and B: pairs x
 # (A + B + 1) on the anti-diagonals, pairs x (B + 1 + symbols x 64-bit
-# words of A) for the bit-parallel LCS.  A merge group's slab gets
+# words of A, one word at least) for the bit-parallel LCS.  A merge
+# group's slab gets
 # ``aligner._LEVEL_BLOCKS`` times as many cells.  It bounds the rolling
 # diagonals or bit vectors, the match masks and the gathered codes, so a
 # block's temporaries stay well under a megabyte.  Both sweeps of
@@ -68,14 +70,16 @@ def nw_scores(padded, lengths, match, mismatch, gap):
     (la, lb), into blocks under ``_BLOCK_CELLS``.
 
     When ``gap`` is +0.0 and ``mismatch`` is finite with
-    ``mismatch <= 0 < match``, a block is one bit-parallel LCS sweep
-    (``_lcs_lengths``) and a pair scores ``sums[LCS]``, its longest common
-    subsequence's matches summed one by one.  That is the DP's float: a
-    gap adds +0.0, a mismatch never beats two gaps, and rounding is
-    monotone, so every cell holds ``sums`` of its own LCS, overflow to
-    +inf and subnormal ``match`` included.
+    ``mismatch <= 0 < match``, a pair scores ``sums[LCS]``, its longest
+    common subsequence's matches summed one by one.  That is the DP's
+    float: a gap adds +0.0, a mismatch never beats two gaps, and rounding
+    is monotone, so every cell holds ``sums`` of its own LCS, overflow to
+    +inf and subnormal ``match`` included.  A pair whose first side is at
+    least as long as its match masks, one 64-bit word or more for each
+    symbol, costs no more cells that way than on the anti-diagonals, and
+    its block is one bit-parallel LCS sweep (``_lcs_lengths``).
 
-    Every other scheme sweeps the anti-diagonals (``_nw_block``): each
+    Every other pair sweeps the anti-diagonals (``_nw_block``): each
     block keeps three rolling ``(A+1, pairs)`` diagonals with
     ``H_d[i, p] = h_p[i, d - i]``.  A cell adds the constant gap once,
     to the larger of its UP and LEFT predecessors: rounding is monotone,
@@ -87,31 +91,41 @@ def nw_scores(padded, lengths, match, mismatch, gap):
     out = np.zeros((n, n), dtype=np.float64)
     first, second = np.triu_indices(n, 1)
     la, lb = lengths[first], lengths[second]
+
+    def diagonal_cells(k, a, b):
+        return k * (a + b + 1)
+
+    def diagonal_block(i, j, a, b):
+        return _nw_block(padded, i, j, a, b, match, mismatch, gap)
+
+    sweeps = [(np.arange(la.size), diagonal_cells, diagonal_block)]
     if gap == 0 and math.copysign(1.0, gap) > 0 and -math.inf < mismatch <= 0 < match:
         # Code -1, then every code of the log: the rows of a match mask table.
         symbols = int(padded.max(initial=-1)) + 2
         with np.errstate(over="ignore"):
             sums = np.add.accumulate(np.append(0.0, np.full(lengths.max(initial=0), match)))
 
-        def cells(k, a, b):
-            return k * (b + 1 + symbols * ((a + 63) // 64))
+        def lcs_cells(k, a, b):
+            return k * (b + 1 + symbols * np.maximum(1, (a + 63) // 64))
 
-        def block(i, j, a, b):
+        def lcs_block(i, j, a, b):
             return sums[_lcs_lengths(padded, i, j, a, b, symbols)]
 
-    else:
-
-        def cells(k, a, b):
-            return k * (a + b + 1)
-
-        def block(i, j, a, b):
-            return _nw_block(padded, i, j, a, b, match, mismatch, gap)
-
-    for run in runs(la, lb, cells, _BLOCK_CELLS):
-        i, j = first[run], second[run]
-        scores = block(i, j, la[run], lb[run])
-        out[i, j] = scores
-        out[j, i] = scores
+        # A pair takes the sweep that costs it fewer cells: the LCS where
+        # the masks of its first side, one word or more a symbol, are no
+        # longer than the side itself.
+        lcs = symbols * np.maximum(1, (la + 63) // 64) <= la
+        sweeps = [
+            (np.flatnonzero(lcs), lcs_cells, lcs_block),
+            (np.flatnonzero(~lcs), diagonal_cells, diagonal_block),
+        ]
+    for pairs, cells, block in sweeps:
+        for run in runs(la[pairs], lb[pairs], cells, _BLOCK_CELLS):
+            run = pairs[run]
+            i, j = first[run], second[run]
+            scores = block(i, j, la[run], lb[run])
+            out[i, j] = scores
+            out[j, i] = scores
     return out
 
 
@@ -162,21 +176,27 @@ def _lcs_lengths(padded, first, second, la, lb, symbols):
     masks = np.ascontiguousarray(masks.reshape(-1, words).T)
     # Column p of rows[r]: the mask row that code r of pair p's second side reads.
     rows = padded[second, :B].T + 1 + side_of * symbols
-    v = np.full((words, first.size), np.iinfo(np.uint64).max, dtype=np.uint64)
+    ones = np.uint64(np.iinfo(np.uint64).max)
+    v = np.full((words, first.size), ones, dtype=np.uint64)
     keep = np.empty_like(v)
+    # Carry lookahead: word w + 1 takes a carry where the last word k <= w
+    # whose own sum is not all ones wrapped.  Word k stands for itself as
+    # 2k + 2 + wrapped, an all-ones sum as 0, so the running maximum over
+    # the words ends in the carry bit.
+    code = np.arange(2, 2 * words + 2, 2, dtype=np.uint64)[:, None]
     for row in rows:
         u = masks.take(row, axis=1)
         u &= v
         np.bitwise_xor(v, u, out=keep)  # v & ~u, as u lies within v
         v += u  # word by word; the carries follow
-        # A word passes a carry on where its own sum wrapped, or where the
-        # carry it took in wrapped it to 0.
-        wrapped = v[:-1] < u[:-1]
-        for w in range(1, words):
-            carry = wrapped[0] if w == 1 else wrapped[w - 1] | (carry & (v[w - 1] == 0))
-            v[w] += carry
+        if words > 1:
+            last = np.where(v == ones, 0, code + (v < u))
+            np.maximum.accumulate(last, axis=0, out=last)
+            last &= 1
+            v[1:] += last[:-1]
         v |= keep
-    return np.bitwise_count(~v).sum(axis=0)
+    zeros = np.ascontiguousarray((~v).T).view(np.uint8)
+    return np.unpackbits(zeros, axis=1).sum(axis=1)
 
 
 def _nw_block(padded, first, second, la, lb, match, mismatch, gap):

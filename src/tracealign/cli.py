@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -38,14 +40,19 @@ def _scheme(args: argparse.Namespace) -> ScoringScheme:
 
 
 def _check_paths(args: argparse.Namespace) -> None:
-    # An input may be a pipe or any other file that is not a directory.
+    # An input is a regular file or a pipe; a device such as /dev/zero
+    # could be read without end.
     for name in ("input", "reference", "model"):
         value = getattr(args, name, None)
         if value is not None:
-            if Path(value).is_dir():
+            try:
+                mode = os.stat(value).st_mode
+            except FileNotFoundError:
+                raise TraceAlignError(f"input file not found: {value}") from None
+            if stat.S_ISDIR(mode):
                 raise TraceAlignError(f"input path is a directory: {value}")
-            if not Path(value).exists():
-                raise TraceAlignError(f"input file not found: {value}")
+            if not (stat.S_ISREG(mode) or stat.S_ISFIFO(mode)):
+                raise TraceAlignError(f"input path is not a regular file or pipe: {value}")
     for name in ("output", "report", "samples_out"):
         value = getattr(args, name, None)
         if value is not None:

@@ -423,8 +423,8 @@ class TestOutputPathIsDirectory:
 
 
 class TestInputPath:
-    """An input path naming a directory is refused with one line; any other
-    file that exists, a pipe too, is read."""
+    """An input path naming a directory or a device is refused with one
+    line; a regular file or a pipe is read."""
 
     @pytest.mark.parametrize(
         "command, input_fixture, args",
@@ -443,6 +443,14 @@ class TestInputPath:
         args = [{"DIR": str(target), "INPUT": str(path), "OUT": str(out)}.get(a, a) for a in args]
         code = main([command, *args])
         assert_single_line_error(code, capsys.readouterr(), f"input path is a directory: {target}")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_device_is_single_line(self, tmp_path, capsys):
+        out = tmp_path / "result.aln"
+        code = main(["align", "/dev/zero", "-o", str(out)])
+        message = "input path is not a regular file or pipe: /dev/zero"
+        assert_single_line_error(code, capsys.readouterr(), message)
         assert not out.exists()
 
     def test_log_through_a_pipe_reads_as_the_file(self, log_path, alignment_path, tmp_path):

@@ -438,8 +438,47 @@ class TestNwScores:
                     h, _ = nw_fill(sequences[i], sequences[j], *scheme)
                     assert scores[i, j].hex() == scores[j, i].hex() == h[-1, -1].hex()
         if block_cells == BLOCK_CELLS[0]:
-            # At the default budget all 15 pairs of a log share one sweep.
-            assert sweeps == [15, 15, 15]
+            # At the default budget the 10 pairs of a log whose first side
+            # is not empty share one sweep; the other 5 take the diagonals.
+            assert sweeps == [10, 10, 10]
+
+    @pytest.mark.parametrize("scheme", ZERO_GAP)
+    def test_carry_crosses_several_words(self, scheme):
+        # Code 1 first clears bits of word 2 of the first side; then a
+        # carry out of word 0 must pass word 1, all ones, on to word 2.
+        sequences = [[0] * 3 + [2] * 125 + [1] * 3, [1, 0, 1, 0, 1], [1] * 3 + [0] * 3 + [1, 1]]
+        sequences += [[0] * 3 + [1] * 200, [0, 2, 1] * 70]
+        with overflow_allowed(scheme):
+            scores = _kernels.nw_scores(*pad(sequences), *scheme)
+            for i, j in itertools.combinations(range(len(sequences)), 2):
+                h, _ = nw_fill(np.array(sequences[i]), np.array(sequences[j]), *scheme)
+                assert scores[i, j].hex() == h[-1, -1].hex()
+
+    @pytest.mark.parametrize(
+        "codes, length, lcs",
+        [(14, 100, True), (14, 15, True), (14, 14, False), (60, 1000, True), (63, 1000, False),
+         (2000, 100, False), (1, 0, False)],
+    )
+    def test_sweep_follows_cell_cost(self, rng, monkeypatch, codes, length, lcs):
+        # The LCS takes a pair whose first side is at least as long as its
+        # masks, (codes + 1) x 64-bit words; 100 events over 14 codes is the
+        # shape of the long-random benchmark log.
+        calls = []
+        for name in ("_lcs_lengths", "_nw_block"):
+            sweep = getattr(_kernels, name)
+
+            def counted(*args, sweep=sweep, name=name):
+                calls.append(name)
+                return sweep(*args)
+
+            monkeypatch.setattr(_kernels, name, counted)
+        sequences = [rng.integers(0, codes, size=length) for _ in range(3)]
+        sequences[0][:1] = codes - 1
+        scores = _kernels.nw_scores(*pad(sequences), 1.0, -1.0, 0.0)
+        assert set(calls) == {"_lcs_lengths" if lcs else "_nw_block"}
+        for i, j in itertools.combinations(range(3), 2):
+            h, _ = nw_fill(sequences[i], sequences[j], 1.0, -1.0, 0.0)
+            assert scores[i, j].hex() == h[-1, -1].hex()
 
     def test_symmetric_with_zero_diagonal(self, rng):
         sequences = [rng.integers(0, 3, size=int(n)) for n in rng.integers(0, 12, size=15)]
@@ -457,12 +496,14 @@ class GeneralSweep(Exception):
 
 
 class TestZeroGapSweeps:
-    """The default scheme takes the zero-gap sweeps; any other gap, or a
+    """The default scheme takes the zero-gap sweeps, all-pairs scores
+    wherever a side is at least as long as its masks; any other gap, or a
     mismatch above 0, takes the anti-diagonal ones."""
 
     @pytest.fixture
     def log(self, rng):
-        return random_log(rng, n_traces=12, min_len=1, max_len=70)
+        # Four codes: a trace of 5 events is as long as its masks.
+        return random_log(rng, n_traces=12, min_len=5, max_len=70)
 
     @pytest.fixture(autouse=True)
     def general_sweeps_raise(self, monkeypatch):
