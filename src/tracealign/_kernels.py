@@ -6,8 +6,8 @@ and every profile merge run it, and a group of merges of one guide-tree
 level runs it together: merge m is the last axis of a zero-padded
 (A, B, M) slab, a lone merge's too (M = 1).  It fills the whole slab,
 derives the pointer codes of a block of cells at once, keeps them in
-one diagonal-by-diagonal layout and returns the slab's last cell, the
-score of every merge as large as the slab.  All-pairs scoring
+the order of its sweep, read by one rule, and returns the slab's last
+cell, the score of every merge as large as the slab.  All-pairs scoring
 (``nw_scores``) runs its recurrence for constant scores, keeping only
 the scores, with the same float64 results.  Each DP picks its sweep
 from its inputs: where a gap step adds exactly +0.0, ``profile_fill``
@@ -45,18 +45,19 @@ DIAG, UP, LEFT = 0, 1, 2
 
 # Cell budget of one block of the all-pairs sweep, which ``runs`` cuts
 # the pairs under, for the block's longest sides A and B: pairs x
-# (A + B + 1) on the anti-diagonals, pairs x (B + 1 + symbols x 64-bit
-# words of A, one word at least) for the bit-parallel LCS.  A merge
-# group's slab gets
+# (A + B + 1) on the anti-diagonals; for the bit-parallel LCS, with W
+# the 64-bit words of A (one at least), pairs x (4 W + 2) for the bit
+# vectors, their temporaries and the codes of a step, plus the match
+# masks, symbols x W for each distinct first side, of which there are at
+# most one a pair and one a sequence.  A merge group's slab gets
 # ``aligner._LEVEL_BLOCKS`` times as many cells.  It bounds the rolling
 # diagonals or bit vectors, the match masks and the gathered codes, so a
 # block's temporaries stay well under a megabyte.  Both sweeps of
 # ``profile_fill`` buffer that many cells of candidates before they
-# write their pointer codes,
-# ``aligner._column_pair_scores`` writes pair scores in blocks of rows of
-# that many cells, and ``ms_pattern`` cuts its work under the same
-# budget, counted as (N, N) pair tables and as instance rows x pattern
-# length x N, but never below one (N, N) table.
+# write their pointer codes, ``aligner._column_pair_scores`` writes pair
+# scores in blocks of rows of that many cells, and ``ms_pattern`` cuts
+# its work under the same budget, counted as (N, N) pair tables and as
+# instance rows x pattern length x N, but never below one (N, N) table.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -76,8 +77,9 @@ def nw_scores(padded, lengths, match, mismatch, gap):
     is monotone, so every cell holds ``sums`` of its own LCS, overflow to
     +inf and subnormal ``match`` included.  A pair whose first side is at
     least as long as its match masks, one 64-bit word or more for each
-    symbol, costs no more cells that way than on the anti-diagonals, and
-    its block is one bit-parallel LCS sweep (``_lcs_lengths``).
+    symbol, takes that way, and its block is one bit-parallel LCS sweep
+    (``_lcs_lengths``): all pairs of 50 traces of 100 events over 14
+    symbols share one.
 
     Every other pair sweeps the anti-diagonals (``_nw_block``): each
     block keeps three rolling ``(A+1, pairs)`` diagonals with
@@ -106,14 +108,15 @@ def nw_scores(padded, lengths, match, mismatch, gap):
             sums = np.add.accumulate(np.append(0.0, np.full(lengths.max(initial=0), match)))
 
         def lcs_cells(k, a, b):
-            return k * (b + 1 + symbols * np.maximum(1, (a + 63) // 64))
+            # Per pair and per distinct first side, as ``_BLOCK_CELLS`` says.
+            words = np.maximum(1, (a + 63) // 64)
+            return (4 * k + symbols * np.minimum(k, n)) * words + 2 * k
 
         def lcs_block(i, j, a, b):
             return sums[_lcs_lengths(padded, i, j, a, b, symbols)]
 
-        # A pair takes the sweep that costs it fewer cells: the LCS where
-        # the masks of its first side, one word or more a symbol, are no
-        # longer than the side itself.
+        # A pair takes the LCS where the masks of its first side, one word
+        # or more a symbol, are no longer than the side itself.
         lcs = symbols * np.maximum(1, (la + 63) // 64) <= la
         sweeps = [
             (np.flatnonzero(lcs), lcs_cells, lcs_block),
@@ -148,6 +151,11 @@ def runs(la, lb, cells, cap):
         start = stop
 
 
+# The number of one bits of every byte.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_BYTE_BITS = _BYTE_BITS.sum(axis=1, dtype=np.uint8)
+
+
 def _lcs_lengths(padded, first, second, la, lb, symbols):
     """LCS lengths of the pairs (padded[first[p]], padded[second[p]]), one sweep.
 
@@ -158,45 +166,55 @@ def _lcs_lengths(padded, first, second, la, lb, symbols):
     ``v = (v + u) | (v & ~u)``, the sum carried from word to word.  The
     LCS is the count of zero bits of ``v``.  A bit past the first side's
     end has no mask bit, so it stays 1; a code of -1, padding past either
-    side's end, reads an empty mask and leaves ``v`` as it is.
+    side's end, reads an empty mask and leaves ``v`` as it is.  Each step
+    gathers its codes from the log, not from a per-pair table, so a pair
+    holds only its words and the block's temporaries.
     """
     A, B = int(la.max()), int(lb.max())
     words = max(1, -(-A // 64))
-    # Word w of masks[t, c + 1] has bit q set where the t-th distinct first
-    # side holds code c at position 64 * w + q; masks[t, 0] stays empty.
+    # Word w of masks column t * symbols + c + 1 has bit q set where the
+    # t-th distinct first side holds code c at position 64 * w + q; column
+    # t * symbols, which code -1 reads, stays empty.
     present = np.zeros(padded.shape[0], dtype=np.bool_)
     present[first] = True
     sides = np.flatnonzero(present)
-    side_of = np.searchsorted(sides, first)
-    masks = np.zeros((sides.size, symbols, words), dtype=np.uint64)
+    masks = np.zeros((words, sides.size * symbols), dtype=np.uint64)
     at = np.arange(A)
     bits = np.left_shift(np.uint64(1), (at % 64).astype(np.uint64))
-    np.bitwise_or.at(masks, (np.arange(sides.size)[:, None], padded[sides, :A] + 1, at // 64), bits)
-    masks[:, 0] = 0
-    masks = np.ascontiguousarray(masks.reshape(-1, words).T)
-    # Column p of rows[r]: the mask row that code r of pair p's second side reads.
-    rows = padded[second, :B].T + 1 + side_of * symbols
+    columns = np.arange(sides.size)[:, None] * symbols + padded[sides, :A] + 1
+    np.bitwise_or.at(masks, (at // 64, columns), bits)
+    masks[:, ::symbols] = 0
+    # Step r reads column codes[r, second[p]] + offset[p] of the masks.
+    # Every index is in range; mode="clip" lets ``take`` fill ``out``
+    # without a buffer.
+    codes = np.ascontiguousarray(padded[:, :B].T)
+    offset = np.searchsorted(sides, first) * symbols + 1
+    column = np.empty_like(offset)
     ones = np.uint64(np.iinfo(np.uint64).max)
     v = np.full((words, first.size), ones, dtype=np.uint64)
-    keep = np.empty_like(v)
+    u, keep, last = (np.empty_like(v) for _ in range(3))
     # Carry lookahead: word w + 1 takes a carry where the last word k <= w
     # whose own sum is not all ones wrapped.  Word k stands for itself as
     # 2k + 2 + wrapped, an all-ones sum as 0, so the running maximum over
     # the words ends in the carry bit.
     code = np.arange(2, 2 * words + 2, 2, dtype=np.uint64)[:, None]
-    for row in rows:
-        u = masks.take(row, axis=1)
+    for r in range(B):
+        np.take(codes[r], second, out=column, mode="clip")
+        column += offset
+        masks.take(column, axis=1, out=u, mode="clip")
         u &= v
         np.bitwise_xor(v, u, out=keep)  # v & ~u, as u lies within v
         v += u  # word by word; the carries follow
         if words > 1:
-            last = np.where(v == ones, 0, code + (v < u))
+            np.add(code, v < u, out=last)
+            last *= v != ones
             np.maximum.accumulate(last, axis=0, out=last)
             last &= 1
             v[1:] += last[:-1]
         v |= keep
     zeros = np.ascontiguousarray((~v).T).view(np.uint8)
-    return np.unpackbits(zeros, axis=1).sum(axis=1)
+    return _BYTE_BITS[zeros].sum(axis=1)
+
 
 
 def _nw_block(padded, first, second, la, lb, match, mismatch, gap):
@@ -263,35 +281,23 @@ def profile_fill(s, ga, gb, col0, row0):
     When every entry of ``ga``, ``gb``, ``col0`` and ``row0`` is +0.0,
     ``_line_fill`` sweeps the slab line by line, each line a prefix
     maximum.  Every other input sweeps the anti-diagonals
-    (``_diagonal_fill``).  Both keep the pointer codes diagonal by
-    diagonal, in one layout: the code of cell (i, j), for 1 <= i <= A and
-    1 <= j <= B, is ``ptr[base[i + j] + i]``, and the first row and
-    column, where a traceback has one way to go, have none.  Ties prefer
-    DIAG, then UP, then LEFT.  Float overflow to +-inf is exact here and
-    raises no warning.  Returns ``(ptr, base, corner)``: ``ptr`` is
-    (rows, M), ``base`` a list of A + B + 1 offsets and
-    ``corner[m] = h_m[A, B]``, the best score of every merge whose sides
-    are the slab's.
+    (``_diagonal_fill``).  Each sweep keeps the pointer codes in its own
+    order, and one rule reads both: the code of cell (i, j), for
+    1 <= i <= A and 1 <= j <= B, is ``ptr[base[i + j] + step * i]``.  The
+    first row and column, where a traceback has one way to go, have none.
+    Ties prefer DIAG, then UP, then LEFT.  Float overflow to +-inf is
+    exact here and raises no warning.  Returns ``(ptr, base, step,
+    corner)``: ``ptr`` is (rows, M), ``base`` a list of A + B + 1 offsets,
+    ``step`` an int and ``corner[m] = h_m[A, B]``, the best score of every
+    merge whose sides are the slab's.
     """
-    A, B, M = s.shape
-    diagonals = np.arange(A + B + 1)
-    lo, hi = np.maximum(1, diagonals - B), np.minimum(A, diagonals - 1)
-    # Diagonal d holds h[lo - 1 .. hi + 1, d - i] in rows seg[d] to
-    # seg[d + 1] - 1 of ``ptr``: its cells and the slot on either side.
-    seg = np.zeros(A + B + 2, dtype=np.int64)
-    np.cumsum(hi - lo + 3, out=seg[1:])
-    base = seg[:-1] - lo + 1
-    ptr = np.empty((int(seg[-1]), M), dtype=np.uint8)
-    base_at = base.tolist()
     with np.errstate(over="ignore"):
         if any(x.any() or np.signbit(x).any() for x in (ga, gb, col0, row0)):
-            corner = _diagonal_fill(s, ga, gb, col0, row0, ptr, seg, lo, hi, base_at)
-        else:
-            corner = _line_fill(s, ptr, base)
-    return ptr, base_at, corner
+            return _diagonal_fill(s, ga, gb, col0, row0)
+        return _line_fill(s)
 
 
-def _line_fill(s, ptr, base):
+def _line_fill(s):
     """``profile_fill`` with every gap cost and edge +0.0, line by line.
 
     h starts at +0.0 and never becomes -0.0, so ``x + 0.0 == x`` for every
@@ -302,21 +308,24 @@ def _line_fill(s, ptr, base):
     along the shorter side, so where A > B they are the columns, read
     through the strided view ``s.transpose(1, 0, 2)``.  A block of lines,
     about ``_BLOCK_CELLS`` cells, keeps its DIAG candidates and scores,
-    plus the line before it, and derives its pointer codes at once: UP
-    is the line before where the lines are rows, and the cell before
-    where they are columns.  Returns the corner h[A, B].
+    plus the line before it, and writes its pointer codes at once, in
+    line order, straight into ``ptr``: UP is the line before where the
+    lines are rows, and the cell before where they are columns.  Cell
+    (i, j) is row (i - 1) * B + j - 1 of ``ptr`` on rows, so ``base[d] =
+    d - 1 - B`` and ``step = B - 1``; it is row (j - 1) * A + i - 1 on
+    columns, so ``base[d] = A * d - A - 1`` and ``step = 1 - A``.
     """
     A, B, M = s.shape
     rows = A <= B
     lines = s if rows else s.transpose(1, 0, 2)
     count, length = lines.shape[:2]
+    ptr = np.empty((A * B, M), dtype=np.uint8)
+    codes = ptr.reshape(count, length, M)
     size = max(1, min(_BLOCK_CELLS // ((length + 1) * M), count))
     # h[0] is the line before the block; position 0 of every line is its
     # edge.  With no lines, h[0, -1] is the edge h[A, B] = +0.0.
     h = np.zeros((size + 1, length + 1, M))
     diag = np.empty((size, length, M))
-    codes = np.empty((size, length, M), dtype=np.uint8)
-    along = np.arange(1, length + 1)
     for first in range(0, count, size):
         n = min(size, count - first)
         for r in range(n):
@@ -325,18 +334,17 @@ def _line_fill(s, ptr, base):
             np.maximum.accumulate(h[r + 1], axis=0, out=h[r + 1])
         best = h[1 : n + 1, 1:]
         up = h[:n, 1:] if rows else h[1 : n + 1, :-1]
-        _write_codes(codes[:n], diag[:n], up, best)
-        # Cell (i, j) is row base[i + j] + i of ``ptr``.
-        line = np.arange(first + 1, first + n + 1)[:, None]
-        at = np.add(line, along)
-        np.take(base, at, out=at)
-        at += line if rows else along
-        ptr[at] = codes[:n]
+        _write_codes(codes[first : first + n], diag[:n], up, best)
         h[0] = h[n]
-    return h[0, -1].copy()
+    diagonals = range(A + B + 1)
+    if rows:
+        base, step = [d - 1 - B for d in diagonals], B - 1
+    else:
+        base, step = [A * d - A - 1 for d in diagonals], 1 - A
+    return ptr, base, step, h[0, -1].copy()
 
 
-def _diagonal_fill(s, ga, gb, col0, row0, ptr, seg, lo, hi, base):
+def _diagonal_fill(s, ga, gb, col0, row0):
     """``profile_fill`` for any gap costs and edges, over anti-diagonals.
 
     One diagonal of every merge is one ``(cells, M)`` basic strided slice
@@ -347,9 +355,18 @@ def _diagonal_fill(s, ga, gb, col0, row0, ptr, seg, lo, hi, base):
     the two diagonals it reads from the block before, so each diagonal
     takes five array operations and memory is linear in the side
     lengths.  The pointer codes of a block come from four whole-block
-    operations, in sweep order.  Returns the corner h[A, B].
+    operations, in sweep order, so ``ptr`` holds every diagonal's slots
+    too: cell (i, j) is row ``base[i + j] + i``, ``step = 1``.
     """
     A, B, M = s.shape
+    diagonals = np.arange(A + B + 1)
+    lo, hi = np.maximum(1, diagonals - B), np.minimum(A, diagonals - 1)
+    # Diagonal d holds h[lo - 1 .. hi + 1, d - i] in rows seg[d] to
+    # seg[d + 1] - 1 of ``ptr``: its cells and the slot on either side.
+    seg = np.zeros(A + B + 2, dtype=np.int64)
+    np.cumsum(hi - lo + 3, out=seg[1:])
+    ptr = np.empty((int(seg[-1]), M), dtype=np.uint8)
+    base = (seg[:-1] - lo + 1).tolist()
     # The pair score of (i - 1, j - 1) is row (i - 1) * B + j - 1 of ``s``.
     s_cells = s.reshape(-1, M)
     gb_rev = np.ascontiguousarray(gb[::-1])
@@ -396,7 +413,7 @@ def _diagonal_fill(s, ga, gb, col0, row0, ptr, seg, lo, hi, base):
         h[: seg_at[last] - keep] = h[keep - shift : seg_at[last] - shift].copy()
         first, shift = last, keep
     # The last block kept diagonal A + B in h; h[A, B] is its row base + A, less shift.
-    return h[base[A + B] - shift + A].copy()
+    return ptr, base, 1, h[base[A + B] - shift + A].copy()
 
 
 def _write_codes(out, diag, up, best):
@@ -413,11 +430,12 @@ def _write_codes(out, diag, up, best):
     np.add(not_diag, not_up, out=out, dtype=np.uint8)
 
 
-def traceback(ptr, base, la, lb):
+def traceback(ptr, base, step, la, lb):
     """Walk one merge's pointer codes from cell (la, lb) back to (0, 0).
 
-    ``ptr`` and ``base`` are as ``profile_fill`` returns them, ``ptr``
-    cut to the merge's own column ``ptr[:, m]``.  Returns two index
+    ``ptr``, ``base`` and ``step`` are as ``profile_fill`` returns them,
+    ``ptr`` cut to the merge's own column ``ptr[:, m]``: the code of cell
+    (i, j) is ``ptr[base[i + j] + step * i]``.  Returns two index
     arrays of equal length: for each output column the consumed position
     of the first/second side, or -1 where that side takes a gap.  Once
     either side is used up, the other takes the rest.
@@ -427,7 +445,7 @@ def traceback(ptr, base, la, lb):
     first: list[int] = []
     second: list[int] = []
     while i > 0 and j > 0:
-        p = codes[base[i + j] + i]
+        p = codes[base[i + j] + step * i]
         if p == DIAG:
             i -= 1
             j -= 1

@@ -164,8 +164,8 @@ def pairwise_align(
     # First column and row at gap * k, as in ``nw_scores``, so both score alike.
     col0 = scheme.gap * np.arange(a.size + 1)[:, None]
     row0 = scheme.gap * np.arange(b.size + 1)[:, None]
-    ptr, base, corner = _kernels.profile_fill(s, ga, gb, col0, row0)
-    row1, row2 = _kernels.traceback(ptr[:, 0], base, a.size, b.size)
+    ptr, base, step, corner = _kernels.profile_fill(s, ga, gb, col0, row0)
+    row1, row2 = _kernels.traceback(ptr[:, 0], base, step, a.size, b.size)
     return Alignment(log, np.stack([row1, row2])), float(corner[0])
 
 
@@ -272,12 +272,20 @@ def _column_pair_scores(p1: Profile, p2: Profile, scheme: ScoringScheme):
     occ2 = b.sum(axis=1)
     # match * same + mismatch * (cross - same) + gap * gap_faces, written
     # over ``same`` one block of rows at a time: the same float64
-    # operations per cell, but one (L1, L2) matrix and three block
-    # buffers, so the peak memory of a merge no longer triples with its
-    # size.  ``same += block`` adds the same two floats as ``block + same``.
+    # operations per cell, but one (L1, L2) matrix and at most three
+    # block buffers, so the peak memory of a merge no longer triples with
+    # its size.  ``same += block`` adds the same two floats as
+    # ``block + same``.
     s = a @ b.T
     step = max(1, _kernels._BLOCK_CELLS // max(1, s.shape[1]))
-    cross, faces, other = (np.empty((min(step, s.shape[0]), s.shape[1])) for _ in range(3))
+    shape = (min(step, s.shape[0]), s.shape[1])
+    cross = np.empty(shape)
+    # The faces are finite and >= 0, so a zero gap makes each term a zero
+    # of the gap's sign.  Adding -0.0 leaves every float as it is; adding
+    # +0.0 only turns -0.0 into +0.0, and a +0.0 gap takes the line sweep
+    # of ``profile_fill``, whose h is never -0.0, so h + s is the same.
+    if scheme.gap:
+        faces, other = np.empty(shape), np.empty(shape)
     for lo in range(0, s.shape[0], step):
         rows = slice(lo, lo + step)
         same = s[rows]
@@ -287,10 +295,11 @@ def _column_pair_scores(p1: Profile, p2: Profile, scheme: ScoringScheme):
         block *= scheme.mismatch
         same *= scheme.match
         same += block
-        gap_faces = np.multiply(f1[rows, 0, None], occ2, out=faces[:k])
-        gap_faces += np.multiply(occ1[rows, None], f2[:, 0], out=other[:k])
-        gap_faces *= scheme.gap
-        same += gap_faces
+        if scheme.gap:
+            gap_faces = np.multiply(f1[rows, 0, None], occ2, out=faces[:k])
+            gap_faces += np.multiply(occ1[rows, None], f2[:, 0], out=other[:k])
+            gap_faces *= scheme.gap
+            same += gap_faces
     return s, scheme.gap * occ1, scheme.gap * occ2
 
 
@@ -340,13 +349,13 @@ def _merge_profiles(pairs: list, scheme: ScoringScheme) -> list[Profile]:
             del s_m
             np.cumsum(ga[: la[m], m], out=col0[1 : la[m] + 1, m])
             np.cumsum(gb[: lb[m], m], out=row0[1 : lb[m] + 1, m])
-    ptr, base, _ = _kernels.profile_fill(s, ga, gb, col0, row0)
+    ptr, base, step, _ = _kernels.profile_fill(s, ga, gb, col0, row0)
     del s
     merged = []
     for m in range(M):
         p1, p2 = pairs[m]
         pairs[m] = None
-        takes = _kernels.traceback(ptr[:, m], base, la[m], lb[m])
+        takes = _kernels.traceback(ptr[:, m], base, step, la[m], lb[m])
         gapped = [np.concatenate([p.grid, np.full((len(p.members), 1), -1)], 1) for p in (p1, p2)]
         grid = np.vstack([side[:, take] for side, take in zip(gapped, takes)])
         merged.append(Profile(p1.source, p1.members + p2.members, grid))

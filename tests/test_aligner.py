@@ -7,13 +7,16 @@ from oracles import (
     consensus_oracle,
     distance_oracle,
     enumerate_alignment_scores,
+    full_table_profile_fill,
     guide_tree_fold_oracle,
     guide_tree_leaves_oracle,
     guide_tree_oracle,
+    traceback_oracle,
 )
-from test_kernels import NON_DYADIC, OVERFLOW, SCHEMES
+from test_kernels import NON_DYADIC, OVERFLOW, SCHEMES, ZERO_GAP_OVERFLOW
 from tracealign import aligner as aligner_module
 from tracealign import (
+    DEFAULT_SCHEME,
     Alignment,
     EventLog,
     GuideTree,
@@ -35,6 +38,11 @@ from tracealign import (
     strip_gaps,
     validate_alignment,
 )
+
+
+# Pair-score inputs: a non-zero gap; a gap of -0.0; a +0.0 gap whose
+# negative match makes -0.0 scores; and one whose merges overflow.
+PAIR_SCORE_SCHEMES = [(2.0, -0.5, -1.25), (2.0, -0.5, -0.0), (-1.0, -2.0, 0.0), ZERO_GAP_OVERFLOW]
 
 
 def trace(cid, labels):
@@ -344,27 +352,61 @@ class TestAlignProfiles:
     @pytest.mark.parametrize("block_cells", [1, 7, 1 << 16])
     def test_blocked_pair_scores_equal_whole_matrix_formula(self, monkeypatch, block_cells):
         # The scores are written one block of rows at a time; every cell
-        # must carry the bits of the whole-matrix expression.
+        # must carry the bits of the whole-matrix expression.  A zero gap
+        # skips the gap faces: with -0.0 that keeps every bit, and with
+        # +0.0 it may keep a -0.0 that the expression turns into +0.0, so
+        # there only values compare, and the merge's alignment must be the
+        # one the expression's scores give.  A column of gaps only, which
+        # no fold makes, scores -0.0 under a negative match.
         monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(21)
-        scheme = ScoringScheme(2.0, -0.5, -1.25)
-        for _ in range(10):
-            log = random_log(rng, n_traces=6, min_len=3, max_len=12)
-            p1 = align_profiles(Profile.singleton(log, 0), Profile.singleton(log, 1), scheme)
-            p2 = align_profiles(
-                align_profiles(Profile.singleton(log, 2), Profile.singleton(log, 3), scheme),
-                Profile.singleton(log, 4), scheme,
-            )
-            f1, f2 = p1.frequencies, p2.frequencies
-            occ1, occ2 = f1[:, 1:].sum(axis=1), f2[:, 1:].sum(axis=1)
-            same = f1[:, 1:] @ f2[:, 1:].T
-            gap_faces = (np.outer(f1[:, 0], occ2) + np.outer(occ1, f2[:, 0])) * scheme.gap
-            expected = (np.outer(occ1, occ2) - same) * scheme.mismatch + same * scheme.match
-            expected += gap_faces
-            s, ga, gb = aligner_module._column_pair_scores(p1, p2, scheme)
-            assert np.array_equal(s, expected)
-            assert np.array_equal(ga, scheme.gap * occ1)
-            assert np.array_equal(gb, scheme.gap * occ2)
+        for scheme in [ScoringScheme(*s) for s in PAIR_SCORE_SCHEMES]:
+            for _ in range(10):
+                log = random_log(rng, n_traces=6, min_len=3, max_len=12)
+                leaves = [Profile.singleton(log, i) for i in range(5)]
+                with np.errstate(over="ignore"):
+                    p1 = align_profiles(leaves[0], leaves[1], scheme)
+                    p23 = align_profiles(leaves[2], leaves[3], scheme)
+                    p2 = align_profiles(p23, leaves[4], scheme)
+                at = int(rng.integers(p1.length + 1))
+                gapped = Profile(log, p1.members, np.insert(p1.grid, at, -1, axis=1))
+                for first in (p1, gapped):
+                    self.check_pair_scores(first, p2, scheme)
+
+    @staticmethod
+    def check_pair_scores(p1, p2, scheme):
+        f1, f2 = p1.frequencies, p2.frequencies
+        occ1, occ2 = f1[:, 1:].sum(axis=1), f2[:, 1:].sum(axis=1)
+        same = f1[:, 1:] @ f2[:, 1:].T
+        gap_faces = (np.outer(f1[:, 0], occ2) + np.outer(occ1, f2[:, 0])) * scheme.gap
+        expected = (np.outer(occ1, occ2) - same) * scheme.mismatch + same * scheme.match
+        expected += gap_faces
+        s, ga, gb = aligner_module._column_pair_scores(p1, p2, scheme)
+        assert np.array_equal(s, expected)
+        if scheme.gap != 0 or np.signbit(scheme.gap):
+            assert np.array_equal(s.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(ga, scheme.gap * occ1)
+        assert np.array_equal(gb, scheme.gap * occ2)
+        with np.errstate(over="ignore"):
+            merged = align_profiles(p1, p2, scheme)
+            _, table = full_table_profile_fill(expected, ga, gb)
+        takes = [np.array(take, dtype=np.int64) for take in traceback_oracle(table)]
+        sides = [np.concatenate([p.grid, np.full((len(p.members), 1), -1)], 1) for p in (p1, p2)]
+        rows = [side[:, take] for side, take in zip(sides, takes)]
+        assert np.array_equal(merged.grid, np.vstack(rows))
+
+    def test_default_scheme_never_reads_gap_faces(self):
+        # A NaN gap frequency poisons every score that adds a gap face, so
+        # finite scores show the default scheme's zero gap skips them.
+        log = random_log(np.random.default_rng(22), n_traces=4, min_len=3, max_len=12)
+        p1 = align_profiles(Profile.singleton(log, 0), Profile.singleton(log, 1))
+        p2 = align_profiles(Profile.singleton(log, 2), Profile.singleton(log, 3))
+        for p in (p1, p2):
+            p.frequencies[:, 0] = np.nan
+        s, _, _ = aligner_module._column_pair_scores(p1, p2, DEFAULT_SCHEME)
+        assert np.isfinite(s).all()
+        s, _, _ = aligner_module._column_pair_scores(p1, p2, ScoringScheme(1.0, -1.0, -1.0))
+        assert np.isnan(s).all()
 
     def test_identical_gapless_profiles_add_no_gaps(self):
         log = EventLog([trace("x", "ABC"), trace("y", "ABC")])

@@ -63,14 +63,14 @@ def merge_edges(ga, gb):
     return np.append(0.0, np.cumsum(ga)), np.append(0.0, np.cumsum(gb))
 
 
-def pointer_table(ptr, base, la, lb):
-    """One merge's pointer codes, kept diagonal by diagonal, as the full
-    (la + 1, lb + 1) table: LEFT along the first row, UP down the first
-    column, DIAG in the corner."""
+def pointer_table(ptr, base, step, la, lb):
+    """One merge's pointer codes, cell (i, j) at ``ptr[base[i + j] + step * i]``,
+    as the full (la + 1, lb + 1) table: LEFT along the first row, UP down
+    the first column, DIAG in the corner."""
     table = np.empty((la + 1, lb + 1), dtype=np.uint8)
     table[0, :], table[:, 0], table[0, 0] = _kernels.LEFT, _kernels.UP, _kernels.DIAG
     i, j = np.mgrid[1 : la + 1, 1 : lb + 1]
-    table[1:, 1:] = ptr[np.asarray(base, dtype=np.int64)[i + j] + i]
+    table[1:, 1:] = ptr[np.asarray(base, dtype=np.int64)[i + j] + step * i]
     return table
 
 
@@ -94,13 +94,18 @@ def fill_merges(merges):
         with np.errstate(over="ignore"):
             col0[: la[m] + 1, m], row0[: lb[m] + 1, m] = merge_edges(ga, gb)
     # Outside any errstate: the sweep itself must raise no overflow warning.
-    ptr, base, corner = _kernels.profile_fill(slab, ga_slab, gb_slab, col0, row0)
+    ptr, base, step, corner = _kernels.profile_fill(slab, ga_slab, gb_slab, col0, row0)
     assert ptr.shape[1] == M and len(base) == A + B + 1 and corner.shape == (M,)
+    # The layout rule reads every cell of the slab from a row of its own.
+    i, j = np.mgrid[1 : A + 1, 1 : B + 1]
+    rows = (np.asarray(base, dtype=np.int64)[i + j] + step * i).ravel()
+    assert np.unique(rows).size == rows.size
+    assert rows.size == 0 or 0 <= rows.min() and rows.max() < ptr.shape[0]
     return [
         (
-            pointer_table(ptr[:, m], base, la[m], lb[m]),
+            pointer_table(ptr[:, m], base, step, la[m], lb[m]),
             float(corner[m]) if (la[m], lb[m]) == (A, B) else None,
-            _kernels.traceback(ptr[:, m], base, la[m], lb[m]),
+            _kernels.traceback(ptr[:, m], base, step, la[m], lb[m]),
         )
         for m in range(M)
     ]
@@ -201,8 +206,9 @@ class TestProfileFill:
             monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
             for trial in range(9):
                 n = int(rng.integers(1, 25))
-                # One-row, one-column, square and very unequal merges share a slab.
-                shapes = [(1, n), (n, 1), (n, n), (2, 3 * n + 5), (3 * n + 5, 2)]
+                # Empty, one-row, one-column, square and very unequal merges
+                # share a slab.
+                shapes = [(0, n), (n, 0), (1, n), (n, 1), (n, n), (2, 3 * n + 5), (3 * n + 5, 2)]
                 shapes += [tuple(rng.integers(0, 13, size=2).tolist()) for _ in range(trial % 4)]
                 merges = []
                 for k in rng.permutation(len(shapes)).tolist():
@@ -479,6 +485,35 @@ class TestNwScores:
         for i, j in itertools.combinations(range(3), 2):
             h, _ = nw_fill(sequences[i], sequences[j], 1.0, -1.0, 0.0)
             assert scores[i, j].hex() == h[-1, -1].hex()
+
+    def test_default_scheme_scores_a_long_random_log_in_one_sweep(self, rng, monkeypatch):
+        # 50 traces of 100 events over 14 codes, the shape of the
+        # long-random benchmark log: a pair holds only its words and the
+        # block's temporaries, so all 1,225 pairs share one bit-parallel
+        # sweep at the default budget and split into several at a small
+        # one, with the same bits as the anti-diagonal sweep.
+        sweeps = []
+        lcs_lengths = _kernels._lcs_lengths
+
+        def counted(*args):
+            sweeps.append(args[1].size)
+            return lcs_lengths(*args)
+
+        monkeypatch.setattr(_kernels, "_lcs_lengths", counted)
+        scheme = (DEFAULT_SCHEME.match, DEFAULT_SCHEME.mismatch, DEFAULT_SCHEME.gap)
+        padded = rng.integers(0, 14, size=(50, 100))
+        lengths = np.full(50, 100)
+        scores = _kernels.nw_scores(padded, lengths, *scheme)
+        assert sweeps == [1225]
+        monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 200)
+        blocked = _kernels.nw_scores(padded, lengths, *scheme)
+        assert len(sweeps) > 2 and sum(sweeps[1:]) == 1225
+        first, second = np.triu_indices(50, 1)
+        diagonal = _kernels._nw_block(
+            padded, first, second, lengths[first], lengths[second], *scheme
+        )
+        assert [x.hex() for x in scores[first, second]] == [x.hex() for x in diagonal]
+        assert [x.hex() for x in blocked.ravel()] == [x.hex() for x in scores.ravel()]
 
     def test_symmetric_with_zero_diagonal(self, rng):
         sequences = [rng.integers(0, 3, size=int(n)) for n in rng.integers(0, 12, size=15)]
