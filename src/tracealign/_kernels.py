@@ -10,19 +10,19 @@ the order of its sweep, read by one rule, and returns the slab's last
 cell, the score of every merge as large as the slab.  All-pairs scoring
 (``nw_scores``) runs its recurrence for constant scores, keeping only
 the scores, with the same float64 results.  Each DP picks its sweep
-from its inputs: where a gap step adds exactly +0.0, ``profile_fill``
-sweeps line by line, each line a prefix maximum, and ``nw_scores``
-counts the longest common subsequence with bit-parallel words for each
-pair whose first side is at least as long as its match masks; every
-other input sweeps the anti-diagonals, each pair or merge one column
+from the scheme alone: where a gap step adds exactly +0.0,
+``profile_fill`` sweeps line by line, each line a prefix maximum, and
+``nw_scores`` counts the longest common subsequence of every pair with
+bit-parallel words, the match masks built once per chunk of rows; every
+other scheme sweeps the anti-diagonals, each pair or merge one column
 of every array.  ``runs`` is the one cut of both: it sorts items by
-their sides and cuts them under a cell budget, pairs into blocks and a
-level's merges into groups.  The sweeps let float overflow run to
-+-inf, which is exact, without a warning.  Misalignment scoring
-(``ms_pattern``) scores every pattern of an instance index in one
-blocked pass per alignment, summing each pattern in int64; it and the
-column statistics are whole-array numpy passes.  There is no other
-backend.
+their sides and cuts them under a cell budget, pairs into blocks, rows
+into chunks of masks and a level's merges into groups.  The sweeps let
+float overflow run to +-inf, which is exact, without a warning.
+Misalignment scoring (``ms_pattern``) scores every pattern of an
+instance index in one blocked pass per alignment, summing each pattern
+in int64; it and the column statistics are whole-array numpy passes.
+There is no other backend.
 """
 
 from __future__ import annotations
@@ -47,17 +47,18 @@ DIAG, UP, LEFT = 0, 1, 2
 # the pairs under, for the block's longest sides A and B: pairs x
 # (A + B + 1) on the anti-diagonals; for the bit-parallel LCS, with W
 # the 64-bit words of A (one at least), pairs x (4 W + 2) for the bit
-# vectors, their temporaries and the codes of a step, plus the match
-# masks, symbols x W for each distinct first side, of which there are at
-# most one a pair and one a sequence.  A merge group's slab gets
-# ``aligner._LEVEL_BLOCKS`` times as many cells.  It bounds the rolling
-# diagonals or bit vectors, the match masks and the gathered codes, so a
-# block's temporaries stay well under a megabyte.  Both sweeps of
-# ``profile_fill`` buffer that many cells of candidates before they
-# write their pointer codes, ``aligner._column_pair_scores`` writes pair
-# scores in blocks of rows of that many cells, and ``ms_pattern`` cuts
-# its work under the same budget, counted as (N, N) pair tables and as
-# instance rows x pattern length x N, but never below one (N, N) table.
+# vectors, their temporaries and the codes of a step.  A chunk of
+# consecutive first sides, one at least, holds its LCS match masks,
+# symbols x W words each with W of its longest, in as many words.  A
+# merge group's slab gets ``aligner._LEVEL_BLOCKS`` times as many cells.
+# It bounds the rolling diagonals or bit vectors, the match masks and
+# the gathered codes, so a block's temporaries stay well under a
+# megabyte.  Both sweeps of ``profile_fill`` buffer that many cells of
+# candidates before they write their pointer codes,
+# ``aligner._column_pair_scores`` writes pair scores in blocks of rows
+# of that many cells, and ``ms_pattern`` cuts its work under the same
+# budget, counted as (N, N) pair tables and as instance rows x pattern
+# length x N, but never below one (N, N) table.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -67,21 +68,22 @@ def nw_scores(padded, lengths, match, mismatch, gap):
     Every pair (i < j) gets the score of the recurrence of ``profile_fill``
     as ``pairwise_align`` sets it up (constant gap costs, boundary
     ``gap * k``), with trace i as the first side, bit for bit, but many
-    pairs share one numpy sweep: ``runs`` cuts the pairs, sorted by
-    (la, lb), into blocks under ``_BLOCK_CELLS``.
+    pairs share one numpy sweep, picked by the scheme alone: ``runs``
+    cuts the pairs, sorted by (la, lb), into blocks under ``_BLOCK_CELLS``.
 
     When ``gap`` is +0.0 and ``mismatch`` is finite with
     ``mismatch <= 0 < match``, a pair scores ``sums[LCS]``, its longest
     common subsequence's matches summed one by one.  That is the DP's
     float: a gap adds +0.0, a mismatch never beats two gaps, and rounding
     is monotone, so every cell holds ``sums`` of its own LCS, overflow to
-    +inf and subnormal ``match`` included.  A pair whose first side is at
-    least as long as its match masks, one 64-bit word or more for each
-    symbol, takes that way, and its block is one bit-parallel LCS sweep
-    (``_lcs_lengths``): all pairs of 50 traces of 100 events over 14
-    symbols share one.
+    +inf and subnormal ``match`` included.  Every pair, empty sides too,
+    takes that way, one bit-parallel LCS sweep (``_lcs_lengths``) a
+    block.  Match masks are built once for each chunk of consecutive
+    first sides that fits in ``_BLOCK_CELLS`` words, and a chunk's pairs,
+    one slice of ``np.triu_indices`` order, are cut into blocks: all
+    pairs of 50 traces of 100 events over 14 symbols make one of each.
 
-    Every other pair sweeps the anti-diagonals (``_nw_block``): each
+    Any other scheme sweeps the anti-diagonals (``_nw_block``): each
     block keeps three rolling ``(A+1, pairs)`` diagonals with
     ``H_d[i, p] = h_p[i, d - i]``.  A cell adds the constant gap once,
     to the larger of its UP and LEFT predecessors: rounding is monotone,
@@ -93,42 +95,30 @@ def nw_scores(padded, lengths, match, mismatch, gap):
     out = np.zeros((n, n), dtype=np.float64)
     first, second = np.triu_indices(n, 1)
     la, lb = lengths[first], lengths[second]
-
-    def diagonal_cells(k, a, b):
-        return k * (a + b + 1)
-
-    def diagonal_block(i, j, a, b):
-        return _nw_block(padded, i, j, a, b, match, mismatch, gap)
-
-    sweeps = [(np.arange(la.size), diagonal_cells, diagonal_block)]
-    if gap == 0 and math.copysign(1.0, gap) > 0 and -math.inf < mismatch <= 0 < match:
-        # Code -1, then every code of the log: the rows of a match mask table.
-        symbols = int(padded.max(initial=-1)) + 2
-        with np.errstate(over="ignore"):
-            sums = np.add.accumulate(np.append(0.0, np.full(lengths.max(initial=0), match)))
-
-        def lcs_cells(k, a, b):
-            # Per pair and per distinct first side, as ``_BLOCK_CELLS`` says.
-            words = np.maximum(1, (a + 63) // 64)
-            return (4 * k + symbols * np.minimum(k, n)) * words + 2 * k
-
-        def lcs_block(i, j, a, b):
-            return sums[_lcs_lengths(padded, i, j, a, b, symbols)]
-
-        # A pair takes the LCS where the masks of its first side, one word
-        # or more a symbol, are no longer than the side itself.
-        lcs = symbols * np.maximum(1, (la + 63) // 64) <= la
-        sweeps = [
-            (np.flatnonzero(lcs), lcs_cells, lcs_block),
-            (np.flatnonzero(~lcs), diagonal_cells, diagonal_block),
-        ]
-    for pairs, cells, block in sweeps:
-        for run in runs(la[pairs], lb[pairs], cells, _BLOCK_CELLS):
-            run = pairs[run]
+    if not (gap == 0 and math.copysign(1.0, gap) > 0 and -math.inf < mismatch <= 0 < match):
+        for run in runs(la, lb, lambda k, a, b: k * (a + b + 1), _BLOCK_CELLS):
             i, j = first[run], second[run]
-            scores = block(i, j, la[run], lb[run])
-            out[i, j] = scores
-            out[j, i] = scores
+            out[i, j] = out[j, i] = _nw_block(padded, i, j, la[run], lb[run], match, mismatch, gap)
+        return out
+    # Code -1, then every code of the log: the columns of one side's masks.
+    symbols = int(padded.max(initial=-1)) + 2
+    words = np.maximum(1, (lengths + 63) // 64)
+    with np.errstate(over="ignore"):
+        sums = np.add.accumulate(np.append(0.0, np.full(lengths.max(initial=0), match)))
+
+    def cells(k, a, b):
+        return k * (4 * np.maximum(1, (a + 63) // 64) + 2)
+
+    # Rows sorted by their own number keep their order.
+    for rows in runs(np.arange(n - 1), words[:-1], lambda k, a, w: k * symbols * w, _BLOCK_CELLS):
+        masks = _match_masks(padded, lengths, rows, symbols)
+        lo, hi = np.searchsorted(first, (rows[0], rows[-1] + 1))
+        for run in runs(la[lo:hi], lb[lo:hi], cells, _BLOCK_CELLS):
+            run += lo
+            i, j = first[run], second[run]
+            offset = (i - rows[0]) * symbols + 1
+            codes = padded[:, : lb[run].max()]
+            out[i, j] = out[j, i] = sums[_lcs_lengths(masks[: words[i].max()], offset, codes, j)]
     return out
 
 
@@ -151,55 +141,58 @@ def runs(la, lb, cells, cap):
         start = stop
 
 
+def _match_masks(padded, lengths, rows, symbols):
+    """Match masks of the consecutive rows ``rows`` of ``padded``, one table.
+
+    Word w of column t * symbols + c + 1 has bit q set where row rows[t]
+    holds code c at position 64 * w + q; column t * symbols, read by code
+    -1, stays empty.  The words are those of the longest row, one at least.
+    """
+    A = int(lengths[rows].max())
+    masks = np.zeros((max(1, -(-A // 64)), rows.size * symbols), dtype=np.uint64)
+    at = np.arange(A)
+    bits = np.left_shift(np.uint64(1), (at % 64).astype(np.uint64))
+    columns = padded[rows, :A] + 1
+    columns += np.arange(0, masks.shape[1], symbols)[:, None]
+    np.bitwise_or.at(masks, (at // 64, columns), bits)
+    masks[:, ::symbols] = 0
+    return masks
+
+
 # The number of one bits of every byte.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 _BYTE_BITS = _BYTE_BITS.sum(axis=1, dtype=np.uint8)
 
 
-def _lcs_lengths(padded, first, second, la, lb, symbols):
-    """LCS lengths of the pairs (padded[first[p]], padded[second[p]]), one sweep.
+def _lcs_lengths(masks, offset, codes, second):
+    """LCS lengths of a block of pairs, one sweep.
 
     The bit-parallel row step of Allison and Dix (1986) as Hyyro (2004)
-    writes it, over 64-bit words, for a whole block at once: the first
-    side of pair p is the bit vector, column p of ``v``, and each code of
-    its second side is one step ``u = v & mask[code]``,
+    writes it, over the 64-bit words of ``masks``, for a whole block at
+    once.  The first side of pair p is the bit vector, column p of ``v``,
+    its masks from column ``offset[p] - 1`` on; code ``codes[second[p], r]``
+    of its second side is step r, ``u = v & mask[code]``,
     ``v = (v + u) | (v & ~u)``, the sum carried from word to word.  The
     LCS is the count of zero bits of ``v``.  A bit past the first side's
     end has no mask bit, so it stays 1; a code of -1, padding past either
     side's end, reads an empty mask and leaves ``v`` as it is.  Each step
-    gathers its codes from the log, not from a per-pair table, so a pair
-    holds only its words and the block's temporaries.
+    gathers its codes from the log, not from a per-pair table, and the
+    masks come per chunk of first sides, so a pair holds only its words.
     """
-    A, B = int(la.max()), int(lb.max())
-    words = max(1, -(-A // 64))
-    # Word w of masks column t * symbols + c + 1 has bit q set where the
-    # t-th distinct first side holds code c at position 64 * w + q; column
-    # t * symbols, which code -1 reads, stays empty.
-    present = np.zeros(padded.shape[0], dtype=np.bool_)
-    present[first] = True
-    sides = np.flatnonzero(present)
-    masks = np.zeros((words, sides.size * symbols), dtype=np.uint64)
-    at = np.arange(A)
-    bits = np.left_shift(np.uint64(1), (at % 64).astype(np.uint64))
-    columns = np.arange(sides.size)[:, None] * symbols + padded[sides, :A] + 1
-    np.bitwise_or.at(masks, (at // 64, columns), bits)
-    masks[:, ::symbols] = 0
-    # Step r reads column codes[r, second[p]] + offset[p] of the masks.
-    # Every index is in range; mode="clip" lets ``take`` fill ``out``
-    # without a buffer.
-    codes = np.ascontiguousarray(padded[:, :B].T)
-    offset = np.searchsorted(sides, first) * symbols + 1
+    words = masks.shape[0]
+    # Every index is in range; mode="clip" lets ``take`` fill ``out`` unbuffered.
     column = np.empty_like(offset)
     ones = np.uint64(np.iinfo(np.uint64).max)
-    v = np.full((words, first.size), ones, dtype=np.uint64)
+    v = np.full((words, offset.size), ones, dtype=np.uint64)
     u, keep, last = (np.empty_like(v) for _ in range(3))
     # Carry lookahead: word w + 1 takes a carry where the last word k <= w
     # whose own sum is not all ones wrapped.  Word k stands for itself as
     # 2k + 2 + wrapped, an all-ones sum as 0, so the running maximum over
     # the words ends in the carry bit.
     code = np.arange(2, 2 * words + 2, 2, dtype=np.uint64)[:, None]
-    for r in range(B):
-        np.take(codes[r], second, out=column, mode="clip")
+    steps = np.ascontiguousarray(codes.T)
+    for r in range(steps.shape[0]):
+        np.take(steps[r], second, out=column, mode="clip")
         column += offset
         masks.take(column, axis=1, out=u, mode="clip")
         u &= v
@@ -212,9 +205,9 @@ def _lcs_lengths(padded, first, second, la, lb, symbols):
             last &= 1
             v[1:] += last[:-1]
         v |= keep
+    del steps  # the block's codes go before the count's temporaries come
     zeros = np.ascontiguousarray((~v).T).view(np.uint8)
     return _BYTE_BITS[zeros].sum(axis=1)
-
 
 
 def _nw_block(padded, first, second, la, lb, match, mismatch, gap):

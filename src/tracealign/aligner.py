@@ -190,11 +190,19 @@ def distance_matrix(log: EventLog, scheme: ScoringScheme = DEFAULT_SCHEME) -> np
     distance 0, as summing ``match`` cell by cell can fall short of the
     ceiling in the last bit, so each repeated variant's first two
     occurrences are scored too and give its self-distance.  Only the
-    diagonal is set to 0.
+    diagonal is set to 0.  A scheme under which some pair's ceiling is
+    not finite raises ValueError before any pair is scored.
     """
     n = len(log)
     if n < 2:
         raise ValueError(f"need at least 2 traces, got {n}")
+    # The longest shorter side of a pair of traces, two copies of a variant too.
+    events = sorted(log.lengths.tolist())[-2]
+    if not math.isfinite(scheme.match * events):
+        raise ValueError(
+            f"distance ceiling overflows: match score {scheme.match} x {events} events"
+            " is not finite"
+        )
     ids = _variant_ids(log)
     first = np.unique(ids, return_index=True)[1]
     later = np.delete(np.arange(n), first)
@@ -206,7 +214,10 @@ def distance_matrix(log: EventLog, scheme: ScoringScheme = DEFAULT_SCHEME) -> np
     v = first.size
     scores[repeated, repeated] = scores[repeated, v + np.arange(repeated.size)]
     lengths = log.lengths[first]
-    best = scheme.match * np.minimum.outer(lengths, lengths).astype(np.float64)
+    # Past the check, only the ceiling of a lone variant with itself can
+    # overflow, and no distance reads it.
+    with np.errstate(over="ignore"):
+        best = scheme.match * np.minimum.outer(lengths, lengths).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(best > 0, 1.0 - scores[:v, :v] / best, 1.0)
     d = np.clip(d, 0.0, 1.0)[np.ix_(ids, ids)]

@@ -158,6 +158,20 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             distance_matrix(EventLog([trace("x", "A")]))
 
+    def test_overflowing_ceiling_raises(self):
+        # 1e308 x 1 event is finite; x 2 events it is not.  A lone AB's
+        # ceiling with itself overflows too, but no distance reads it, and
+        # under the suite's filter a float warning would fail the test.
+        log = EventLog([trace("x", "AB"), trace("y", "A"), trace("z", "B")])
+        scheme = ScoringScheme(1e308, -1e308, 0.0)
+        expected = distance_oracle(log, 1e308, -1e308, 0.0)
+        assert np.array_equal(distance_matrix(log, scheme), expected)
+        message = r"^distance ceiling overflows: match score 1e\+308 x 2 events is not finite$"
+        for labels in (["AB", "ABB"], ["AB", "AB", "A"]):
+            log = EventLog([trace(f"t{i}", x) for i, x in enumerate(labels)])
+            with pytest.raises(ValueError, match=message):
+                distance_matrix(log, scheme)
+
     @pytest.mark.parametrize("scheme", SCHEMES + NON_DYADIC)
     def test_matches_per_pair_oracle(self, scheme):
         # Distances are computed per distinct variant; every trace pair of

@@ -128,6 +128,18 @@ class TestOverflowingScheme:
         expected = consensus_reference(read_log(claims_log), self.SCHEME)
         assert read_alignment(out).grid.tolist() == expected.grid.tolist()
 
+    @pytest.mark.parametrize("command", ["align", "consensus", "correlate"])
+    def test_overflowing_ceiling_is_single_line(self, claims_log, tmp_path, capsys, command):
+        # match x the shorter side overflows to +inf, so no pair has a
+        # distance; the longest shorter side of a pair has 12 events.
+        capsys.readouterr()
+        out = tmp_path / "out"
+        flags = ["--match=1e308", "--mismatch=-1e308"]
+        code = main([command, str(claims_log), "-o", str(out), *flags])
+        message = "distance ceiling overflows: match score 1e+308 x 12 events is not finite"
+        assert_single_line_error(code, capsys.readouterr(), message)
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_self_reference_report(self, alignment_path, capsys):

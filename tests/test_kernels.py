@@ -444,9 +444,9 @@ class TestNwScores:
                     h, _ = nw_fill(sequences[i], sequences[j], *scheme)
                     assert scores[i, j].hex() == scores[j, i].hex() == h[-1, -1].hex()
         if block_cells == BLOCK_CELLS[0]:
-            # At the default budget the 10 pairs of a log whose first side
-            # is not empty share one sweep; the other 5 take the diagonals.
-            assert sweeps == [10, 10, 10]
+            # At the default budget all 15 pairs of a log, the 5 whose first
+            # side is empty too, share one sweep.
+            assert sweeps == [15, 15, 15]
 
     @pytest.mark.parametrize("scheme", ZERO_GAP)
     def test_carry_crosses_several_words(self, scheme):
@@ -461,30 +461,74 @@ class TestNwScores:
                 assert scores[i, j].hex() == h[-1, -1].hex()
 
     @pytest.mark.parametrize(
-        "codes, length, lcs",
-        [(14, 100, True), (14, 15, True), (14, 14, False), (60, 1000, True), (63, 1000, False),
-         (2000, 100, False), (1, 0, False)],
+        "codes, length",
+        [(14, 100), (14, 15), (14, 14), (60, 1000), (63, 1000), (2000, 100), (1, 0)],
     )
-    def test_sweep_follows_cell_cost(self, rng, monkeypatch, codes, length, lcs):
-        # The LCS takes a pair whose first side is at least as long as its
-        # masks, (codes + 1) x 64-bit words; 100 events over 14 codes is the
-        # shape of the long-random benchmark log.
+    @pytest.mark.parametrize(
+        "scheme, sweep",
+        [
+            ((1.0, -1.0, 0.0), "_lcs_lengths"),
+            ((1.0, -1.0, -0.25), "_nw_block"),
+            ((1.0, -1.0, -0.0), "_nw_block"),
+            ((3.0, 1.0, 0.0), "_nw_block"),
+        ],
+        ids=["default", "gap-0.25", "gap-0.0", "mismatch+1"],
+    )
+    def test_sweep_follows_scheme(self, rng, monkeypatch, scheme, sweep, codes, length):
+        # The default scheme takes the LCS for every pair, whatever the
+        # alphabet and the sides, an empty one too; a non-zero gap, a -0.0
+        # gap or a mismatch above 0 takes the diagonals.  100 events over
+        # 14 codes is the shape of the long-random benchmark log.
         calls = []
         for name in ("_lcs_lengths", "_nw_block"):
-            sweep = getattr(_kernels, name)
 
-            def counted(*args, sweep=sweep, name=name):
+            def counted(*args, fill=getattr(_kernels, name), name=name):
                 calls.append(name)
-                return sweep(*args)
+                return fill(*args)
 
             monkeypatch.setattr(_kernels, name, counted)
         sequences = [rng.integers(0, codes, size=length) for _ in range(3)]
         sequences[0][:1] = codes - 1
-        scores = _kernels.nw_scores(*pad(sequences), 1.0, -1.0, 0.0)
-        assert set(calls) == {"_lcs_lengths" if lcs else "_nw_block"}
-        for i, j in itertools.combinations(range(3), 2):
-            h, _ = nw_fill(sequences[i], sequences[j], 1.0, -1.0, 0.0)
+        sequences.append(np.zeros(0, dtype=np.int64))
+        scores = _kernels.nw_scores(*pad(sequences), *scheme)
+        assert set(calls) == {sweep}
+        for i, j in itertools.combinations(range(len(sequences)), 2):
+            h, _ = nw_fill(sequences[i], sequences[j], *scheme)
             assert scores[i, j].hex() == h[-1, -1].hex()
+
+    @pytest.mark.parametrize("scheme", ZERO_GAP)
+    def test_mask_chunks_match_pairwise_fill(self, rng, monkeypatch, scheme):
+        # Match masks are built once per chunk of consecutive first sides
+        # within the budget: at a budget of one word every row is its own
+        # chunk, at the default one these logs take one.  Sides end short
+        # of, on and past word boundaries, over 1 to 2,000 codes, and a mix
+        # of 15 to 1,000 events follows.
+        chunks = []
+        lcs_lengths = _kernels._lcs_lengths
+
+        def counted(masks, *args):
+            chunks.append(masks.shape[1])
+            return lcs_lengths(masks, *args)
+
+        monkeypatch.setattr(_kernels, "_lcs_lengths", counted)
+        logs = [(codes, (0, 63, 64, 65, 129)) for codes in (1, 14, 63, 2000)]
+        logs.append((14, (15, 130, 1000, 400, 15)))
+        for codes, lengths in logs:
+            sequences = [rng.integers(0, codes, size=n) for n in lengths]
+            sequences[-1][:1] = codes - 1
+            with overflow_allowed(scheme):
+                oracle = {
+                    (i, j): nw_fill(sequences[i], sequences[j], *scheme)[0][-1, -1].hex()
+                    for i, j in itertools.combinations(range(len(sequences)), 2)
+                }
+                for block_cells in (1, BLOCK_CELLS[0]):
+                    monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
+                    chunks.clear()
+                    scores = _kernels.nw_scores(*pad(sequences), *scheme)
+                    assert {(i, j): scores[i, j].hex() for i, j in oracle} == oracle
+                    assert {(i, j): scores[j, i].hex() for i, j in oracle} == oracle
+                    rows = {width // (codes + 1) for width in chunks}
+                    assert rows == ({1} if block_cells == 1 else {len(sequences) - 1})
 
     def test_default_scheme_scores_a_long_random_log_in_one_sweep(self, rng, monkeypatch):
         # 50 traces of 100 events over 14 codes, the shape of the
@@ -531,9 +575,9 @@ class GeneralSweep(Exception):
 
 
 class TestZeroGapSweeps:
-    """The default scheme takes the zero-gap sweeps, all-pairs scores
-    wherever a side is at least as long as its masks; any other gap, or a
-    mismatch above 0, takes the anti-diagonal ones."""
+    """The default scheme takes the zero-gap sweeps, all-pairs scores for
+    every pair; any other gap, or a mismatch above 0, takes the
+    anti-diagonal ones."""
 
     @pytest.fixture
     def log(self, rng):
@@ -552,6 +596,14 @@ class TestZeroGapSweeps:
         assert DEFAULT_SCHEME.gap == 0.0
         pairwise_align(log.traces[0], log.traces[1])
         progressive_align(log)
+        consensus_reference(log, k=3, seed=1)
+
+    def test_short_traces_over_many_activities_take_zero_gap_sweeps(self, rng):
+        # The shape of the correlate benchmark log: 15 traces of 9 to 12
+        # events over 13 activities, each shorter than its match masks.
+        log = random_log(rng, n_traces=15, min_len=9, max_len=12, alphabet=tuple("abcdefghijklm"))
+        assert len(log.alphabet) == 13
+        tracealign.distance_matrix(log)
         consensus_reference(log, k=3, seed=1)
 
     @pytest.mark.parametrize("gap", [-0.25, -0.0])

@@ -12,6 +12,16 @@ from tracealign import EventLog, Trace, aligner
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "tracealign").glob("*.py"))
+BENCHMARK_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
+# Attributes of numpy 2 that numpy 1.24, the floor ``pyproject.toml``
+# declares, lacks.
+NUMPY_2_ONLY = {
+    "acos", "acosh", "asin", "asinh", "astype", "atan", "atan2", "atanh", "bitwise_count",
+    "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift", "concat", "cumulative_prod",
+    "cumulative_sum", "isdtype", "matrix_transpose", "matvec", "permute_dims", "pow", "strings",
+    "trapezoid", "unique_all", "unique_counts", "unique_inverse", "unique_values", "unstack",
+    "vecdot", "vecmat",
+}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -24,6 +34,30 @@ def test_no_runtime_check_depends_on_assert(path):
 
 def test_sources_are_found():
     assert len(SOURCES) >= 7
+    assert len(BENCHMARK_SOURCES) >= 5
+
+
+def _numpy_2_only(tree):
+    """Each numpy-2-only name read as ``np.X`` or ``numpy.X`` or imported from numpy."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy") and node.attr in NUMPY_2_ONLY:
+                yield f"{node.value.id}.{node.attr} (line {node.lineno})"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            for alias in node.names:
+                if alias.name in NUMPY_2_ONLY:
+                    yield f"{alias.name} (line {node.lineno})"
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES + BENCHMARK_SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}"
+)
+def test_runs_on_the_declared_version_floors(path):
+    # pyproject.toml allows Python 3.10 and numpy 1.24; only newer ones may
+    # be at hand to run the suite, so the source is checked against both.
+    tree = ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    found = list(_numpy_2_only(tree))
+    assert found == [], f"{path.name} uses numpy-2-only names {found}"
 
 
 def test_readme_library_example_runs(capsys):
