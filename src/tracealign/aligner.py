@@ -321,10 +321,11 @@ def align_profiles(p1: Profile, p2: Profile, scheme: ScoringScheme = DEFAULT_SCH
     scores (gap-vs-gap contributes 0); putting a column against a gap
     column costs its occupancy times the gap score.  Existing columns
     are never reordered or dropped, so gaps already present survive the
-    merge.
+    merge.  Both profiles must be of one log, the same object or an
+    equal one, because member ordinals index its traces.
     """
-    if p1.source is not p2.source and p1.source.alphabet != p2.source.alphabet:
-        raise ValueError("profiles are built over different alphabets")
+    if p1.source is not p2.source and p1.source != p2.source:
+        raise ValueError("profiles are built over different logs")
     overlap = set(p1.members) & set(p2.members)
     if overlap:
         raise ValueError(f"profiles share members {sorted(overlap)}")

@@ -341,7 +341,7 @@ class Alignment:
 def grid_codes(source: EventLog, traces: Sequence[int], grid: np.ndarray) -> np.ndarray:
     """Activity codes of ``grid``, whose row r holds trace ``traces[r]``; gaps stay -1."""
     rows = np.asarray(traces)[:, None]
-    return np.where(grid >= 0, source.padded_codes[rows, np.clip(grid, 0, None)], -1)
+    return np.where(grid >= 0, source.padded_codes[rows, np.maximum(grid, 0)], -1)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import numpy as np
 
+import tracealign
 from tracealign import EventLog, Trace
 
 # Criterion results recorded by tests/test_acceptance.py, printed at the
@@ -19,6 +23,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = "PASS" if passed else "FAIL"
         suffix = f"  ({detail})" if detail else ""
         terminalreporter.write_line(f"{status}  {name}{suffix}")
+
+
+def cli_env() -> dict[str, str]:
+    """Environment in which a fresh interpreter imports this checkout's package."""
+    src = str(Path(tracealign.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def random_log(

@@ -451,6 +451,27 @@ class TestAlignProfiles:
         with pytest.raises(ValueError, match="share members"):
             align_profiles(p, Profile.singleton(log, 0))
 
+    # Member ordinals index the source log's traces, so profiles of two
+    # logs cannot merge: the result would read its second member's rows
+    # from the first log.
+    @pytest.mark.parametrize(
+        "other", [("x", "yxyx"), ("pq", "q")], ids=["same-alphabet", "other-alphabet"]
+    )
+    def test_profiles_of_another_log_rejected(self, other):
+        log = EventLog([trace("a0", "xy"), trace("a1", "xy")])
+        other = EventLog([trace(f"b{i}", labels) for i, labels in enumerate(other)])
+        with pytest.raises(ValueError, match="different logs"):
+            align_profiles(Profile.singleton(log, 0), Profile.singleton(other, 1))
+
+    def test_equal_logs_merge_as_one(self):
+        log = EventLog([trace("x", "ABC"), trace("y", "AC"), trace("z", "BCA")])
+        twin = EventLog(list(log.traces))
+        assert twin is not log and twin == log
+        merged = align_profiles(Profile.singleton(log, 0), Profile.singleton(twin, 2))
+        expected = align_profiles(Profile.singleton(log, 0), Profile.singleton(log, 2))
+        assert merged.members == expected.members
+        assert np.array_equal(merged.grid, expected.grid)
+
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(9)
         log = random_log(rng, n_traces=4)

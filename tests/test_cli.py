@@ -1,13 +1,12 @@
+import gc
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import tracealign
-
+from conftest import cli_env
 from tracealign import (
     ActivityBlock,
     ProcessModelSpec,
@@ -18,6 +17,7 @@ from tracealign import (
     progressive_align,
     strip_gaps,
 )
+from tracealign import cli
 from tracealign.cli import main
 from tracealign.formats import read_alignment, read_log, write_model
 
@@ -466,20 +466,68 @@ class TestInputPath:
         assert not out.exists()
 
     def test_log_through_a_pipe_reads_as_the_file(self, log_path, alignment_path, tmp_path):
-        src = str(Path(tracealign.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         out = tmp_path / "piped.aln"
         read_end, write_end = os.pipe()
         command = [sys.executable, "-m", "tracealign.cli", "align", f"/dev/fd/{read_end}"]
         with subprocess.Popen(
-            [*command, "-o", str(out)], env=env, pass_fds=(read_end,), stderr=subprocess.PIPE
+            [*command, "-o", str(out)], env=cli_env(), pass_fds=(read_end,), stderr=subprocess.PIPE
         ) as proc:
             os.close(read_end)
             with os.fdopen(write_end, "wb") as pipe:
                 pipe.write(log_path.read_bytes())
             assert proc.wait(timeout=60) == 0, proc.stderr.read()
         assert out.read_bytes() == alignment_path.read_bytes()
+
+
+class TestExitPath:
+    """A process runs a command through ``run()``, which freezes the
+    collector once ``main()`` has returned; ``main()`` never touches it."""
+
+    def test_main_leaves_the_collector_alone(self, log_path, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert main(["align", str(log_path), "-o", str(tmp_path / "out.aln")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_freezes_after_main_returns(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == 1
+        assert calls == ["main", "freeze"]
+
+    def test_argparse_error_exits_without_freezing(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(sys, "argv", ["tracealign", "no-such-command"])
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert calls == []
+
+    def test_module_writes_what_main_writes(self, log_path, alignment_path, tmp_path):
+        out = tmp_path / "spawned.aln"
+        command = [sys.executable, "-m", "tracealign.cli", "align", str(log_path), "-o", str(out)]
+        proc = subprocess.run(command, env=cli_env(), capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert out.read_bytes() == alignment_path.read_bytes()
+
+    def test_module_exit_statuses(self, tmp_path):
+        def spawn(*args):
+            command = [sys.executable, "-m", "tracealign.cli", *args]
+            return subprocess.run(command, env=cli_env(), capture_output=True, timeout=60)
+
+        out = tmp_path / "out.aln"
+        missing = spawn("align", str(tmp_path / "absent.log"), "-o", str(out))
+        assert (missing.returncode, missing.stdout) == (1, b"")
+        assert missing.stderr.startswith(b"tracealign: error: ")
+        assert missing.stderr.count(b"\n") == 1
+        assert not out.exists()
+        usage = spawn("--help")
+        assert (usage.returncode, usage.stderr) == (0, b"")
+        assert usage.stdout.startswith(b"usage: ")
 
 
 class TestDeterminismAcrossCommands:

@@ -3,11 +3,14 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from conftest import cli_env
 from tracealign import EventLog, Trace, aligner
 
 ROOT = Path(__file__).parent.parent
@@ -138,13 +141,19 @@ def test_every_import_is_used(path):
     assert unused == [], f"{path.name} never reads the imports {unused}"
 
 
-def test_benchmark_tracer_finds_what_it_wraps():
-    # perfbench/traced.py wraps these functions by name and reads these
-    # parameters from each call's bound arguments to count the work done.
+def _benchmark_tracer():
+    """perfbench/traced.py, loaded as a module without running it."""
     path = ROOT / "perfbench" / "traced.py"
     spec = importlib.util.spec_from_file_location("perfbench_traced", path)
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
+    return traced
+
+
+def test_benchmark_tracer_finds_what_it_wraps():
+    # perfbench/traced.py wraps these functions by name and reads these
+    # parameters from each call's bound arguments to count the work done.
+    traced = _benchmark_tracer()
     functions = {}
     for module_name, names in traced.TARGETS.items():
         module = importlib.import_module(module_name)
@@ -155,6 +164,20 @@ def test_benchmark_tracer_finds_what_it_wraps():
     for name, parameter in read.items():
         assert name in traced.WORK
         assert parameter in inspect.signature(functions[name]).parameters, f"{name}({parameter})"
+
+
+def test_cli_import_loads_every_traced_layer():
+    # perfbench/traced.py's install() imports tracealign.cli, then looks
+    # each TARGETS module up in sys.modules, so a layer imported lazily
+    # would break the traced benchmark run.
+    traced = _benchmark_tracer()
+    probe = "import sys, tracealign.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=cli_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    missing = set(traced.TARGETS) - set(proc.stdout.split())
+    assert missing == set(), f"import tracealign.cli leaves out {sorted(missing)}"
 
 
 def test_progressive_align_merges_through_align_profiles(monkeypatch):
