@@ -542,9 +542,7 @@ def ms_pattern(starts, slot_pattern, pat_len, member, col_of, codes_grid):
 
 def column_counts(codes_grid: np.ndarray, n_symbols: int) -> np.ndarray:
     """(L, n_symbols+1) per-column symbol counts; column 0 counts gaps."""
-    n_rows, length = codes_grid.shape
-    if length == 0:
-        return np.zeros((0, n_symbols + 1), dtype=np.int64)
+    _, length = codes_grid.shape
     width = n_symbols + 1
     flat = (np.arange(length)[None, :] * width + (codes_grid + 1)).ravel()
     counts = np.bincount(flat, minlength=length * width)

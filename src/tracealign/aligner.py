@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .core import Alignment, EventLog, Trace, _check_count, grid_codes
+from .metrics import DEFAULT_SCHEME, ScoringScheme, alignment_complexity, ref_free_sps
 
 __all__ = [
     "ScoringScheme",
@@ -32,27 +33,6 @@ __all__ = [
     "progressive_align",
     "consensus_reference",
 ]
-
-
-@dataclass(frozen=True)
-class ScoringScheme:
-    """Column scoring: same type / different type / against a gap."""
-
-    match: float = 1.0
-    mismatch: float = -1.0
-    gap: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("match", "mismatch", "gap"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} score must be finite, got {getattr(self, name)}")
-        if not self.match > self.mismatch:
-            raise ValueError(
-                f"degenerate scheme: match ({self.match}) must exceed mismatch ({self.mismatch})"
-            )
-
-
-DEFAULT_SCHEME = ScoringScheme()
 
 
 @dataclass(frozen=True)
@@ -486,8 +466,6 @@ def consensus_reference(
     the same and it loses the tie.  Every candidate's noise is still
     drawn, so later candidates see the same trees.
     """
-    from .metrics import alignment_complexity, ref_free_sps
-
     _check_count("k", k, 1)
     _check_seed(seed)
     d = distance_matrix(log, scheme)

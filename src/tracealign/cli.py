@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import stat
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+from typing import IO, ContextManager
 
 from . import formats
-from .aligner import ScoringScheme, consensus_reference, progressive_align
+from .aligner import consensus_reference, progressive_align
 from .core import TraceAlignError
 from .experiments import correlation_experiment, generate_log, perturb
-from .metrics import evaluate_alignment, extract_patterns
+from .metrics import ScoringScheme, evaluate_alignment, extract_patterns
 
 
 def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
@@ -62,6 +63,11 @@ def _check_paths(args: argparse.Namespace) -> None:
             parent = Path(value).resolve().parent
             if not parent.is_dir():
                 raise TraceAlignError(f"output directory not found: {parent}")
+
+
+def _output(path: str | None) -> ContextManager[IO[str]]:
+    """The file at ``path``, opened for writing, or stdout, left open, when there is none."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,103 +132,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_align(args: argparse.Namespace) -> int:
+def _cmd_align(args: argparse.Namespace) -> None:
     log = formats.read_log(args.input)
     alignment = progressive_align(log, _scheme(args))
     formats.write_alignment(alignment, args.output)
-    return 0
 
 
-def _cmd_consensus(args: argparse.Namespace) -> int:
+def _cmd_consensus(args: argparse.Namespace) -> None:
     log = formats.read_log(args.input)
     alignment = consensus_reference(log, _scheme(args), k=args.k, seed=args.seed)
     formats.write_alignment(alignment, args.output)
     print(f"seed: {args.seed}")
-    return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     alignment = formats.read_alignment(args.input)
-    reference = None
-    if args.reference:
-        reference = formats.read_alignment(args.reference)
+    reference = formats.read_alignment(args.reference) if args.reference else None
     report = evaluate_alignment(
-        alignment,
-        reference,
-        scheme=_scheme(args),
-        tf_ratio=args.tf_ratio,
-        majority=args.majority,
+        alignment, reference, scheme=_scheme(args), tf_ratio=args.tf_ratio, majority=args.majority
     )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            formats.write_report(report, fh, args.format)
-    else:
-        formats.write_report(report, sys.stdout, args.format)
-    return 0
+    with _output(args.output) as fh:
+        formats.write_report(report, fh, args.format)
 
 
-def _cmd_patterns(args: argparse.Namespace) -> int:
+def _cmd_patterns(args: argparse.Namespace) -> None:
     log = formats.read_log(args.input)
     census = extract_patterns(log, min_len=args.min_len, max_len=args.max_len)
-    table = census.length_frequency_table(args.buckets)
-    rows = sorted(table.items())
-    lines: list[str] = []
-    if args.format == "csv":
-        lines.append("length,bucket_low_pct,bucket_high_pct,patterns")
-        for (length, bucket), count in rows:
-            low = 100 * bucket // args.buckets
-            high = 100 * (bucket + 1) // args.buckets
-            lines.append(f"{length},{low},{high},{count}")
-    elif args.format == "json":
-        lines.append(
-            json.dumps(
-                {
-                    "format": "tracealign-patterns",
-                    "schema_version": 1,
-                    "f_max": census.f_max,
-                    "bounds": [census.min_len, census.max_len],
-                    "buckets": args.buckets,
-                    "table": [
-                        {"length": length, "bucket": bucket, "patterns": count}
-                        for (length, bucket), count in rows
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        lines.append(f"pattern census: {len(census)} patterns, f_max={census.f_max}")
-        lines.append(f"{'length':>6} {'freq bucket':>12} {'patterns':>9}")
-        for (length, bucket), count in rows:
-            low = 100 * bucket // args.buckets
-            high = 100 * (bucket + 1) // args.buckets
-            lines.append(f"{length:>6} {f'{low}-{high}%':>12} {count:>9}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    text = formats.render_patterns(census, args.buckets, args.format)
+    with _output(args.output) as fh:
+        fh.write(text)
 
 
-def _cmd_perturb(args: argparse.Namespace) -> int:
+def _cmd_perturb(args: argparse.Namespace) -> None:
     alignment = formats.read_alignment(args.input)
     result = perturb(alignment, args.moves, args.seed)
     formats.write_alignment(result.alignment, args.output)
     print(f"seed: {args.seed}")
-    return 0
 
 
-def _cmd_gen_log(args: argparse.Namespace) -> int:
+def _cmd_gen_log(args: argparse.Namespace) -> None:
     spec = formats.read_model(args.model)
     log = generate_log(spec, args.traces, args.seed)
     formats.write_log(log, args.output)
     print(f"seed: {args.seed}")
-    return 0
 
 
-def _cmd_correlate(args: argparse.Namespace) -> int:
+def _cmd_correlate(args: argparse.Namespace) -> None:
     log = formats.read_log(args.input)
     report = correlation_experiment(
         log,
@@ -236,15 +191,12 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     if args.samples_out:
         formats.write_samples_csv(report, args.samples_out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(formats.correlation_to_dict(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        formats.write_correlation_report(report, args.report)
     print(f"seed: {args.seed}")
     print(f"{'metric':<16} {'corr(n_e)':>10}")
     for name, value in report.coefficients.items():
         shown = "undefined" if value is None else f"{value:+.4f}"
         print(f"{name:<16} {shown:>10}")
-    return 0
 
 
 _COMMANDS = {
@@ -263,10 +215,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_paths(args)
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
     except (TraceAlignError, ValueError, OSError) as exc:
         print(f"tracealign: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run() -> None:

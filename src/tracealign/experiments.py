@@ -17,7 +17,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .aligner import DEFAULT_SCHEME, ScoringScheme, _check_seed, consensus_reference
+from .aligner import _check_seed, consensus_reference
 from .core import (
     Alignment,
     DegenerateReferenceError,
@@ -29,7 +29,9 @@ from .core import (
     _check_count,
 )
 from .metrics import (
+    DEFAULT_SCHEME,
     METRIC_ORDER,
+    ScoringScheme,
     _check_tf_ratio,
     _InstanceIndex,
     _metric_report,
@@ -403,14 +405,15 @@ def _labelled_samples(
     ``tf_ratio`` and an iterator over ``(moves, alignment)``: ``samples``
     perturbations of the reference with move counts spread evenly over
     [0, max_moves], each from its own seed.  ``samples``, ``max_moves``,
-    ``tf_ratio`` and ``seed`` are checked before the reference is built.
+    ``tf_ratio`` and ``seed`` are checked, and the index built, before the
+    reference: a log without patterns fails before any guide tree is built.
     """
     _check_count("samples", samples, 10)
     _check_count("max_moves", max_moves, 0)
     _check_tf_ratio(tf_ratio)
     _check_seed(seed)
-    reference = consensus_reference(log, scheme, k=k, seed=seed)
     index = _InstanceIndex.of_log(log, tf_ratio)
+    reference = consensus_reference(log, scheme, k=k, seed=seed)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(samples)]
     moves = [int(round(v)) for v in np.linspace(0.0, max_moves, samples)]
     draws = (

@@ -1,13 +1,15 @@
 """Versioned file formats for logs, alignments, models, and reports.
 
-Log files carry one trace per line: ``case_id<TAB>label,label,...``.
-Alignment files carry one row per trace: ``case_id<TAB>cell<TAB>...``
-with ``-`` as the gap cell and a ``#L=<columns>`` header.  Both start
-with a version line (``#tracealign-log v1`` / ``#tracealign-alignment
-v1``); parsers accept missing version lines as v1 but reject any other
-version explicitly.  Any other line starting with ``#`` is a comment, so
-the writers refuse case ids that start with ``#``.  Model specs and
-metric reports are JSON documents with explicit version fields.
+Every file the command line writes is rendered here.  Log files carry
+one trace per line: ``case_id<TAB>label,label,...``.  Alignment files
+carry one row per trace: ``case_id<TAB>cell<TAB>...`` with ``-`` as the
+gap cell and a ``#L=<columns>`` header.  Both start with a version line
+(``#tracealign-log v1`` / ``#tracealign-alignment v1``); parsers accept
+missing version lines as v1 but reject any other version explicitly.
+Any other line starting with ``#`` is a comment, so the writers refuse
+case ids that start with ``#``.  Model specs, metric reports,
+correlation reports and pattern tables are JSON documents with explicit
+version fields, all serialized by :func:`_json_text`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .core import GAP, Alignment, EventLog, ModelSpecError, Trace, TraceAlignError
 from .experiments import CorrelationReport, ProcessModelSpec
-from .metrics import METRIC_ORDER, MetricReport
+from .metrics import METRIC_ORDER, MetricReport, PatternCensus
 
 LOG_MAGIC = "#tracealign-log"
 ALIGNMENT_MAGIC = "#tracealign-alignment"
@@ -63,6 +65,11 @@ def _open_text(path: str | Path) -> io.StringIO:
         line = head.count("\n") + 1
         column = len(head) - head.rfind("\n")
         raise FileFormatError(path, line, column, f"not UTF-8 text ({exc.reason})") from None
+
+
+def _json_text(document: dict) -> str:
+    """A JSON document as written to a file: sorted keys, two-space indent, final newline."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def _check_case_ids(log: EventLog) -> None:
@@ -214,8 +221,7 @@ def read_alignment(path: str | Path) -> Alignment:
 
 def write_model(spec: ProcessModelSpec, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(spec.to_dict()))
 
 
 def read_model(path: str | Path) -> ProcessModelSpec:
@@ -303,8 +309,7 @@ def render_report_human(report: MetricReport) -> str:
 
 def write_report(report: MetricReport, stream: IO[str], fmt: str = "human") -> None:
     if fmt == "json":
-        json.dump(report_to_dict(report), stream, indent=2, sort_keys=True)
-        stream.write("\n")
+        stream.write(_json_text(report_to_dict(report)))
     elif fmt == "human":
         stream.write(render_report_human(report))
     else:
@@ -339,3 +344,34 @@ def correlation_to_dict(report: CorrelationReport) -> dict:
             for p in report.samples
         ],
     }
+
+
+def write_correlation_report(report: CorrelationReport, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json_text(correlation_to_dict(report)))
+
+
+# ---------------------------------------------------------------------------
+# Pattern length-frequency tables.
+
+
+def render_patterns(census: PatternCensus, buckets: int = 10, fmt: str = "human") -> str:
+    """The census's (length, frequency bucket) table as ``human`` text, ``csv`` or ``json``."""
+    rows = sorted(census.length_frequency_table(buckets).items())
+    if fmt == "json":
+        table = [{"length": n, "bucket": b, "patterns": count} for (n, b), count in rows]
+        return _json_text({"format": "tracealign-patterns", "schema_version": 1, "table": table,
+                           "f_max": census.f_max, "bounds": [census.min_len, census.max_len],
+                           "buckets": buckets})
+    # Bucket b spans 100 * b // buckets to 100 * (b + 1) // buckets percent of f_max.
+    spans = [(n, 100 * b // buckets, 100 * (b + 1) // buckets, count) for (n, b), count in rows]
+    if fmt == "csv":
+        lines = ["length,bucket_low_pct,bucket_high_pct,patterns"]
+        lines += [f"{n},{low},{high},{count}" for n, low, high, count in spans]
+    elif fmt == "human":
+        lines = [f"pattern census: {len(census)} patterns, f_max={census.f_max}",
+                 f"{'length':>6} {'freq bucket':>12} {'patterns':>9}"]
+        lines += [f"{n:>6} {f'{low}-{high}%':>12} {count:>9}" for n, low, high, count in spans]
+    else:
+        raise ValueError(f"unknown pattern table format {fmt!r}")
+    return "\n".join(lines) + "\n"

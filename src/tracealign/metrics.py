@@ -1,8 +1,10 @@
 """Alignment quality metrics: accuracy, confidence, and complexity.
 
-Accuracy is measured by sum-of-pairs scores (reference-free and
-reference-based), the column score, and pattern misalignment scores
-aggregated into a frequency-weighted overall misalignment score.
+Pairs of cells are scored under a :class:`ScoringScheme`, the one the
+aligner maximizes.  Accuracy is measured by sum-of-pairs scores
+(reference-free and reference-based), the column score, and pattern
+misalignment scores aggregated into a frequency-weighted overall
+misalignment score.
 Confidence is the entropy-based information score, per column and
 averaged over the whole alignment.  Complexity is the gap fraction,
 bounded below by the padding any alignment needs and above by the
@@ -11,6 +13,7 @@ one-occurrence-per-column worst case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, takewhile
@@ -19,7 +22,6 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .aligner import DEFAULT_SCHEME, ScoringScheme
 from .core import (
     GAP,
     Alignment,
@@ -33,6 +35,8 @@ from .core import (
 )
 
 __all__ = [
+    "ScoringScheme",
+    "DEFAULT_SCHEME",
     "Pattern",
     "PatternCensus",
     "ComplexityResult",
@@ -53,6 +57,27 @@ __all__ = [
     "most_frequent_pattern",
     "evaluate_alignment",
 ]
+
+
+@dataclass(frozen=True)
+class ScoringScheme:
+    """Column scoring: same type / different type / against a gap."""
+
+    match: float = 1.0
+    mismatch: float = -1.0
+    gap: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("match", "mismatch", "gap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} score must be finite, got {getattr(self, name)}")
+        if not self.match > self.mismatch:
+            raise ValueError(
+                f"degenerate scheme: match ({self.match}) must exceed mismatch ({self.mismatch})"
+            )
+
+
+DEFAULT_SCHEME = ScoringScheme()
 
 
 class Pattern(tuple):

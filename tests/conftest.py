@@ -2,6 +2,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tracealign
 from tracealign import EventLog, Trace
@@ -30,6 +31,14 @@ def cli_env() -> dict[str, str]:
     src = str(Path(tracealign.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def assert_refused(call, error: type, message: str) -> None:
+    """``call()`` raises exactly ``error``, not a subclass, with exactly ``message``."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def random_log(

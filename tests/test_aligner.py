@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_log
+from conftest import assert_refused, random_log
 from oracles import (
     brute_force_best_score,
     consensus_oracle,
@@ -635,3 +635,21 @@ def test_progressive_roundtrips_strip_gaps():
     for _ in range(20):
         log = random_log(rng, n_traces=int(rng.integers(2, 6)))
         assert strip_gaps(progressive_align(log)) == log
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_guide_tree(np.zeros((2, 3))), "distance matrix must be square, got shape (2, 3)"),
+        (
+            lambda: progressive_align(
+                EventLog([trace("a", "xy"), trace("b", "xz")]),
+                tree=GuideTree(left=GuideTree.leaf(0), right=GuideTree.leaf(2)),
+            ),
+            "guide tree leaves [0, 2] do not cover 0..1",
+        ),
+    ],
+    ids=["non-square-distances", "tree-misses-a-trace"],
+)
+def test_refusals(call, message):
+    assert_refused(call, ValueError, message)

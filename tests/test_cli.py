@@ -244,6 +244,22 @@ class TestPatterns:
         code = main(["patterns", str(one_activity_log_path), "--max-len", "1"])
         assert_single_line_error(code, capsys.readouterr(), "max_len 1 below min_len 2")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--buckets", "0"], "buckets must be >= 1, got 0"),
+            (["--max-len", "1"], "max_len 1 below min_len 2"),
+        ],
+        ids=["buckets", "max-len"],
+    )
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_refused_table_leaves_no_file(self, log_path, tmp_path, capsys, fmt, args, message):
+        # The table is rendered in full before the output file is opened.
+        out = tmp_path / "out.txt"
+        code = main(["patterns", str(log_path), "-f", fmt, *args, "-o", str(out)])
+        assert_single_line_error(code, capsys.readouterr(), message)
+        assert not out.exists()
+
 
 class TestPerturbCommand:
     def test_seed_is_printed_and_output_valid(self, alignment_path, tmp_path, capsys):
@@ -432,6 +448,26 @@ class TestOutputPathIsDirectory:
         code = main([command, str(path), *extra])
         assert_single_line_error(code, capsys.readouterr(), f"output path is a directory: {target}")
         assert list(target.iterdir()) == [] and not other.exists()
+
+
+@pytest.mark.parametrize(
+    "command, input_fixture, extra",
+    [
+        ("align", "log_path", ["-o", "MISSING"]),
+        ("evaluate", "alignment_path", ["-o", "MISSING"]),
+        ("patterns", "log_path", ["-o", "MISSING"]),
+        ("correlate", "log_path", ["--samples", "10", "-k", "1", "--report", "MISSING"]),
+    ],
+    ids=["align", "evaluate", "patterns", "correlate-report"],
+)
+def test_refusals(request, tmp_path, capsys, command, input_fixture, extra):
+    path = request.getfixturevalue(input_fixture)
+    capsys.readouterr()  # the fixture's own commands print their seeds
+    missing = tmp_path.resolve() / "missing"
+    extra = [str(missing / "out") if arg == "MISSING" else arg for arg in extra]
+    code = main([command, str(path), *extra])
+    assert_single_line_error(code, capsys.readouterr(), f"output directory not found: {missing}")
+    assert not missing.exists()
 
 
 class TestInputPath:

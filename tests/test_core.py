@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_log
+from conftest import assert_refused, random_log
 from oracles import label_rows_oracle, validation_oracle
 from tracealign import (
     Activity,
@@ -373,3 +373,20 @@ def broken_alignments(draw):
 def test_validation_matches_row_by_row_oracle(alignment):
     report = [(v.kind, v.row, v.column, v.message) for v in validate_alignment(alignment)]
     assert report == validation_oracle(alignment)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Trace("a\tb", ["x"]), "case id 'a\\tb' contains tab/newline"),
+        (lambda: Trace("a\nb", ["x"]), "case id 'a\\nb' contains tab/newline"),
+        (lambda: Trace("a\rb", ["x"]), "case id 'a\\rb' contains tab/newline"),
+        (
+            lambda: Alignment(EventLog([Trace("t", ["x"])]), [0]),
+            "grid must be 2-dimensional, got shape (1,)",
+        ),
+    ],
+    ids=["tab-in-case-id", "newline-in-case-id", "return-in-case-id", "one-dimensional-grid"],
+)
+def test_refusals(call, message):
+    assert_refused(call, ValueError, message)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_log
+from conftest import assert_refused, random_log
 from oracles import perturb_oracle
 from tracealign import experiments
 from tracealign import (
@@ -459,3 +459,67 @@ class TestTfRatioSweep:
         log = generate_log(load_bundled_model("checkout"), 12, seed=5)
         with pytest.raises(ValueError, match="at least one tf ratio"):
             tf_ratio_sweep(log, (), samples=10, max_moves=15, seed=13, k=2)
+
+
+@pytest.mark.parametrize("study", [correlation_experiment, tf_ratio_sweep])
+def test_empty_census_fails_before_the_reference_is_built(study, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "consensus_reference", lambda *a, **kw: calls.append(a))
+    log = EventLog([Trace(f"t{i}", [label]) for i, label in enumerate("abcab")])
+    args = ((0.4,),) if study is tf_ratio_sweep else ()
+    with pytest.raises(ValueError, match="^pattern census is empty$"):
+        study(log, *args, samples=10, max_moves=3, seed=2, k=8)
+    assert calls == []
+
+
+def test_one_trace_of_one_activity_reports_the_empty_census():
+    log = EventLog([Trace("t0", ["a"])])
+    with pytest.raises(ValueError, match="^pattern census is empty$"):
+        correlation_experiment(log, samples=10, max_moves=3, seed=2, k=2)
+
+
+A = ActivityBlock("a")
+KINDLESS = {"format": "tracealign-model", "version": 1, "model": {"label": "a"}}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ProcessModelSpec("m", ActivityBlock("")), ModelSpecError, "activity block needs a label"),
+        (lambda: ProcessModelSpec("m", SequenceBlock(())), ModelSpecError, "SequenceBlock needs children"),
+        (lambda: ProcessModelSpec("m", ParallelBlock(())), ModelSpecError, "ParallelBlock needs children"),
+        (
+            lambda: ProcessModelSpec("m", ChoiceBlock((A,), (0.5, 0.5))),
+            ModelSpecError,
+            "choice children and probabilities differ in count",
+        ),
+        (lambda: ProcessModelSpec("m", ChoiceBlock((), ())), ModelSpecError, "choice block needs children"),
+        (
+            lambda: ProcessModelSpec("m", ChoiceBlock((A, A), (-0.5, 1.5))),
+            ModelSpecError,
+            "choice probabilities must be non-negative",
+        ),
+        (lambda: ProcessModelSpec("m", "a"), ModelSpecError, "unknown block 'a'"),
+        (
+            lambda: ProcessModelSpec.from_dict({"format": "tracealign-log", "version": 1}),
+            ModelSpecError,
+            "not a tracealign model document",
+        ),
+        (lambda: ProcessModelSpec.from_dict(KINDLESS), ModelSpecError, "block without a kind: {'label': 'a'}"),
+        (lambda: pearson([1, 2, 3], [1, 2]), ValueError, "length mismatch: 3 vs 2"),
+    ],
+    ids=[
+        "unlabelled-activity",
+        "childless-sequence",
+        "childless-parallel",
+        "choice-count-mismatch",
+        "childless-choice",
+        "negative-probability",
+        "unknown-block",
+        "not-a-model",
+        "block-without-kind",
+        "pearson-length-mismatch",
+    ],
+)
+def test_refusals(call, error, message):
+    assert_refused(call, error, message)

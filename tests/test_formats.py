@@ -1,16 +1,18 @@
 import codecs
+import io
 import json
 
 import numpy as np
 import pytest
 
-from conftest import random_log
+from conftest import assert_refused, random_log
 from tracealign import (
     Alignment,
     EventLog,
     ModelSpecError,
     Trace,
     evaluate_alignment,
+    extract_patterns,
     load_bundled_model,
     progressive_align,
     strip_gaps,
@@ -21,11 +23,13 @@ from tracealign.formats import (
     read_alignment,
     read_log,
     read_model,
+    render_patterns,
     report_to_dict,
     render_report_human,
     write_alignment,
     write_log,
     write_model,
+    write_report,
 )
 
 
@@ -299,3 +303,67 @@ class TestReportFormats:
         report = correlation_experiment(sample_log, samples=10, max_moves=5, seed=1, k=2)
         text = json.dumps(correlation_to_dict(report))
         assert "coefficients" in text
+
+
+class TestPatternTable:
+    def test_json_document(self, sample_log):
+        census = extract_patterns(sample_log)
+        text = render_patterns(census, 4, "json")
+        assert text.endswith("}\n")
+        data = json.loads(text)
+        assert data["format"] == "tracealign-patterns"
+        assert data["schema_version"] == 1
+        assert data["bounds"] == [census.min_len, census.max_len]
+        assert data["buckets"] == 4
+        assert data["f_max"] == census.f_max
+        table = census.length_frequency_table(4)
+        assert data["table"] == [
+            {"length": length, "bucket": bucket, "patterns": count}
+            for (length, bucket), count in sorted(table.items())
+        ]
+
+    def test_csv_and_human_rows_agree(self, sample_log):
+        census = extract_patterns(sample_log)
+        csv = render_patterns(census, 3, "csv").splitlines()
+        human = render_patterns(census, 3).splitlines()
+        assert csv[0] == "length,bucket_low_pct,bucket_high_pct,patterns"
+        assert human[0] == f"pattern census: {len(census)} patterns, f_max={census.f_max}"
+        assert len(csv) - 1 == len(human) - 2 == len(census.length_frequency_table(3))
+        for row, line in zip(csv[1:], human[2:]):
+            length, low, high, count = row.split(",")
+            assert line.split() == [length, f"{low}-{high}%", count]
+
+
+# More digits than int() converts by default (4,300).
+LONG_COUNT = "1" * 5000
+
+
+def _bad_alignment(tmp_path, log):
+    path = tmp_path / "long.aln"
+    path.write_text(f"#L={LONG_COUNT}\nc1\ta\n")
+    read_alignment(path)
+
+
+def _report(sample_log):
+    return evaluate_alignment(progressive_align(sample_log))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (_bad_alignment, FileFormatError, "{tmp_path}/long.aln:1:4: bad column count '" + LONG_COUNT + "'"),
+        (
+            lambda tmp_path, log: write_report(_report(log), io.StringIO(), "xml"),
+            ValueError,
+            "unknown report format 'xml'",
+        ),
+        (
+            lambda tmp_path, log: render_patterns(extract_patterns(log), 10, "xml"),
+            ValueError,
+            "unknown pattern table format 'xml'",
+        ),
+    ],
+    ids=["column-count-past-int-digits", "unknown-report-format", "unknown-pattern-table-format"],
+)
+def test_refusals(call, error, message, tmp_path, sample_log):
+    assert_refused(lambda: call(tmp_path, sample_log), error, message.format(tmp_path=tmp_path))

@@ -675,6 +675,12 @@ class TestColumnCounts:
         assert counts[0].tolist() == [0, 2, 0, 1]
         assert counts[1].tolist() == [1, 0, 2, 0]
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    def test_grid_without_columns_gives_an_empty_table(self, shape):
+        counts = _kernels.column_counts(np.zeros(shape, dtype=np.int64), 3)
+        assert counts.shape == (0, 4)
+        assert counts.dtype == np.int64
+
     def test_sps_from_counts_matches_hand_sum(self):
         # columns: [a,a,c] -> one match pair, two mismatch pairs
         #          [-,b,b] -> one match pair, two gap pairs

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_log
+from conftest import assert_refused, random_log
 from oracles import (
     census_oracle,
     column_score_oracle,
@@ -830,3 +830,12 @@ class TestEvaluateAlignment:
         report = evaluate_alignment(progressive_align(log))
         c = report.complexity
         assert c.lower_bound <= c.value <= c.upper_bound
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: extract_patterns(EventLog([])), lambda: _InstanceIndex.of_log(EventLog([]), 0.4)],
+    ids=["census", "instance-index"],
+)
+def test_refusals(call):
+    assert_refused(call, ValueError, "cannot extract patterns from an empty log")

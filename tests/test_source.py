@@ -141,6 +141,97 @@ def test_every_import_is_used(path):
     assert unused == [], f"{path.name} never reads the imports {unused}"
 
 
+# Package modules from the bottom layer up: each imports only modules before it.
+LAYERS = ("_kernels", "core", "metrics", "aligner", "experiments", "formats", "cli")
+# The one function that turns a document into JSON text.
+JSON_SERIALIZER = ("formats.py", "_json_text")
+
+
+def _with_function(tree):
+    """Each node under ``tree``, with the name of the function it is in (None outside any)."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            yield child, function
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            yield from visit(child, inner)
+
+    yield from visit(tree, None)
+
+
+def _package_modules(node):
+    """The package modules an import statement loads, relative or absolute."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("tracealign.")]
+    module = node.module or ""
+    if node.level == 0:
+        if module != "tracealign" and not module.startswith("tracealign."):
+            return []
+        module = module.removeprefix("tracealign").lstrip(".")
+    if module:
+        return [module.partition(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+def _package_imports(path):
+    """Each package module ``path`` imports, with the function importing it and the line."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node, function in _with_function(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for module in _package_modules(node):
+                yield module, function, node.lineno
+
+
+def test_modules_import_only_lower_layers():
+    upward = []
+    for path in SOURCES:
+        if path.name == "__init__.py":  # re-exports every layer
+            continue
+        assert path.stem in LAYERS, f"{path.name} has no place in LAYERS"
+        below = LAYERS[: LAYERS.index(path.stem)]
+        upward += [
+            f"{path.name}:{line} imports {module}"
+            for module, function, line in _package_imports(path)
+            if function is None and module not in below
+        ]
+    assert upward == [], f"imports that are not of a lower layer: {upward}"
+
+
+def test_no_package_import_inside_a_function():
+    # An import in a function body hides a dependency from the module's
+    # header, and from perfbench/traced.py, which swaps module attributes.
+    inside = [
+        f"{path.name}:{line} {function}() imports {module}"
+        for path in SOURCES
+        for module, function, line in _package_imports(path)
+        if function is not None
+    ]
+    assert inside == [], f"package imports inside functions: {inside}"
+
+
+def test_json_is_written_by_one_serializer():
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, function in _with_function(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = {alias.name for alias in node.names}
+                if names & {"dump", "dumps"}:
+                    calls.append(f"{path.name}:{node.lineno} imports json.dump(s)")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and node.func.attr in ("dump", "dumps")
+                and (path.name, function) != JSON_SERIALIZER
+            ):
+                calls.append(f"{path.name}:{node.lineno} {function}() calls json.{node.func.attr}")
+    assert calls == [], f"JSON written outside formats.{JSON_SERIALIZER[1]}: {calls}"
+
+
 def _benchmark_tracer():
     """perfbench/traced.py, loaded as a module without running it."""
     path = ROOT / "perfbench" / "traced.py"
